@@ -7,13 +7,18 @@ tests can override without global state.
 
 Values keep the reference's defaults where behavior parity matters
 (word filters, URL length, level counts, strategy weights); Ray-specific
-knobs (batch sizes, shard counts, actor-pool sizes) are new and sized
-for a 32-CPU node, scaling by partition count on a real cluster.
+knobs (batch sizes, shard counts, filter capacities) are new. Shard
+counts derive from the cluster's CPU count unless pinned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+# Default seen-filter capacity (items) summed over a shard fleet — the
+# URL-seen sets of the frontier shards and, via image_seen_capacity, the
+# dedup shards. Each shard gets SEEN_CAPACITY // shards.
+SEEN_CAPACITY = 8 << 16
 
 
 @dataclass
@@ -47,7 +52,6 @@ class CrawlConfig:
     # the page and persists a minimal doc, playwrightcrawler.py:5294-5307)
     max_body_mb: int = 6000
     hunt_open_directories: bool = True        # HUNT_OPEN_DIRECTORIES
-    remove_repeated_segments: bool = True     # REMOVE_REPEATED_SEGMENTS
     node_id: str = "ray-collector-01"         # NODE_ID
     # monthly time-partition stamp (reference get_index_name, :1458-1481
     # — UTC YYYY-MM index suffix). Fixed for determinism; a deployment
@@ -93,12 +97,18 @@ class CrawlConfig:
     # Makes crawl throughput concurrency-bound, like a real crawl.
     simulate_latency: bool = False
 
-    # --- Ray execution knobs (new; sized for one 32-CPU node) ---
-    num_frontier_shards: int = 8     # scale with cluster size; hash(host) % shards
+    # --- Ray execution knobs (new) ---
+    # Frontier shard count; hosts route by hash(host) % shards. 0 =
+    # derive from the cluster at engine start: ceil(CPUs / 16), so 1 on
+    # a 4-CPU box and 2 at 32 CPUs. A positive value pins the count.
+    # Resuming a checkpoint rebuilds the fleet at the checkpoint's count.
+    num_frontier_shards: int = 0
     # mega-host skew: a host heap above this spills its larger half as a
     # sorted run to disk (state/frontier.py); 0 = unlimited resident
     host_queue_cap: int = 8192
-    num_seen_shards: int = 8         # pixel-hash dedup shards
+    # Pixel-hash / imgvisit dedup shard count; same 0 = derive rule and
+    # pinning as num_frontier_shards.
+    num_seen_shards: int = 0
     # pixel-hash / imgvisit dedup-shard membership structure, same modes
     # as the frontier's URL-seen set (state/approxset.py): "exact"
     # (default — set-equality with the oracle), "cuckoo" or "bloom" for
@@ -107,8 +117,10 @@ class CrawlConfig:
     # no-false-negatives via the exact overflow set; false POSITIVES
     # drop images (same contract as the URL filter).
     image_seen_mode: str = "exact"
-    image_seen_capacity: int = 1 << 16  # per-shard filter capacity (items)
-    fetch_concurrency: int = 8       # fetch actor pool size
+    # filter capacity (items) across ALL dedup shards; each shard gets
+    # capacity // shards, so the false-positive budget does not depend
+    # on the shard count
+    image_seen_capacity: int = SEEN_CAPACITY
     # transient-failure retry (reference downloader: 3 tries, exp
     # backoff ×2, downloader.py:262-302); base kept tiny in-sandbox
     fetch_retries: int = 3
@@ -132,9 +144,6 @@ class CrawlConfig:
     # Small values = high fetch concurrency (latency-bound crawls);
     # large values amortize per-task overhead (compute-bound).
     wave_batch_size: int = 128
-    fetch_batch_size: int = 128      # alias kept for block slicing
-    image_batch_size: int = 64       # decode memory guide (wide rows)
-    decode_num_cpus: float = 1.0
     # Waves at or below this many URLs run as plain Ray tasks (one per
     # chunk, same stage functions + chunking as the Dataset path, so
     # output is identical) instead of a streaming-executor job. A

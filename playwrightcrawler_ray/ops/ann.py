@@ -467,6 +467,35 @@ SELECT v AS vec_id, MIN(lbl) AS component_id FROM cc GROUP BY v
 """
 
 
+def _hash_smallest(ds, seed64: np.uint64, n: int) -> pd.DataFrame:
+    """The ``n`` rows of a (vec_id, embedding) Dataset with the smallest
+    ``mix64(vec_id ^ seed64)``: a seeded uniform sample in one pruned
+    pass. Each batch keeps its own ``n`` smallest and the driver merges,
+    so the sample does not depend on how the input is partitioned."""
+    mult = np.uint64(0x9E3779B97F4A7C15)
+
+    def smallest(df: pd.DataFrame) -> pd.DataFrame:
+        v = df["vec_id"].to_numpy().astype(np.uint64)
+        h = (v ^ seed64) * mult
+        h ^= h >> np.uint64(29)
+        h = h * np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(32)
+        idx = np.argsort(h, kind="stable")[:n]
+        return pd.DataFrame({
+            # (h ^ sign bit) viewed int64 orders exactly like uint64 h
+            "h": (h[idx] ^ np.uint64(1 << 63)).view(np.int64),
+            "vec_id": df["vec_id"].to_numpy()[idx],
+            "embedding": df["embedding"].to_numpy()[idx],
+        })
+
+    return (
+        ds.map_batches(smallest, batch_format="pandas", batch_size=4096)
+        .to_pandas()
+        .sort_values(["h", "vec_id"])
+        .head(n)
+    )
+
+
 def _kmeans_centroids(sf_dir, k: int, iters: int,
                       seed: int) -> np.ndarray:
     """Shared coarse-quantizer trainer (q_embedding_kmeans, the IVF
@@ -480,30 +509,8 @@ def _kmeans_centroids(sf_dir, k: int, iters: int,
     else:
         def emb_ds():
             return _emb(sf_dir, ["vec_id", "embedding"])
-    mult = np.uint64(0x9E3779B97F4A7C15)
     seed64 = np.uint64(seed * 0x2545F4914F6CDD1D & 0xFFFFFFFFFFFFFFFF)
-
-    def seed_cand(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["vec_id"].to_numpy().astype(np.uint64)
-        h = (v ^ seed64) * mult
-        h ^= h >> np.uint64(29)
-        h = h * np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(32)
-        idx = np.argsort(h, kind="stable")[:k]
-        return pd.DataFrame(
-            {
-                "h": h[idx].astype(np.int64) - (1 << 63),
-                "vec_id": df["vec_id"].to_numpy()[idx],
-                "embedding": df["embedding"].to_numpy()[idx],
-            }
-        )
-
-    cand = (
-        emb_ds()
-        .map_batches(seed_cand, batch_format="pandas", batch_size=4096)
-        .to_pandas()
-    )
-    cand = cand.sort_values(["h", "vec_id"]).head(k)
+    cand = _hash_smallest(emb_ds(), seed64, k)
     centroids = np.stack(cand["embedding"].to_numpy()).astype(np.float64)
 
     for _ in range(iters):
@@ -700,29 +707,10 @@ def q_ann_topk_ivfpq(sf_dir: str, query_vec_id: int = 0, k: int = 10,
 
     # --- deterministic sample for codebook training (hash-smallest
     # vec_ids, same mixer as the k-means seeder)
-    mult = np.uint64(0x9E3779B97F4A7C15)
     seed64 = np.uint64((seed * 0x2545F4914F6CDD1D + 1)
                        & 0xFFFFFFFFFFFFFFFF)
-
-    def sample_part(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["vec_id"].to_numpy().astype(np.uint64)
-        h = (v ^ seed64) * mult
-        h ^= h >> np.uint64(29)
-        h = h * np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(32)
-        idx = np.argsort(h, kind="stable")[:sample_n]
-        return pd.DataFrame({
-            "h": h[idx].astype(np.int64) - (1 << 63),
-            "vec_id": df["vec_id"].to_numpy()[idx],
-            "embedding": df["embedding"].to_numpy()[idx],
-        })
-
-    samp = (
-        _emb(sf_dir, ["vec_id", "embedding"])
-        .map_batches(sample_part, batch_format="pandas", batch_size=4096)
-        .to_pandas()
-        .sort_values(["h", "vec_id"]).head(sample_n)
-    )
+    samp = _hash_smallest(_emb(sf_dir, ["vec_id", "embedding"]), seed64,
+                          sample_n)
     sm = np.stack(samp["embedding"].to_numpy()).astype(np.float64)
     res = sm - centroids[_sq_dists(sm, centroids).argmin(axis=1)]
 

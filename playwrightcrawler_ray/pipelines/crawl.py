@@ -19,7 +19,10 @@ and verified against the sequential oracle (tests/test_crawl_golden.py).
 
 Scale notes (100 TB / 10^10 URLs):
 - frontier shards scale horizontally (``hash(host) % num_shards``); a
-  wave pop is one small RPC per shard;
+  wave pop is one small RPC per shard. Unless pinned, the frontier and
+  dedup fleets hold one shard per ``CPUS_PER_SHARD`` cluster CPUs —
+  on a small box the actors idle and the per-wave RPC fan-out is
+  pure overhead;
 - the corpus broadcast becomes a real HTTP fetch pool (same stage
   signature);
 - parquet output is partitioned per wave (resume skips completed
@@ -33,6 +36,7 @@ Scale notes (100 TB / 10^10 URLs):
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -46,7 +50,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..config import CrawlConfig
+from ..config import SEEN_CAPACITY, CrawlConfig
 from ..corpus.generate import CorpusData
 from ..state.dedup import DedupShard
 from ..state.frontier import FrontierShard, shard_of
@@ -59,6 +63,10 @@ from ..stages.ray_stages import (
 from ..urlkit.canonicalize import canonicalize_url
 from ..urlkit.ids import url_id_64
 from .strategy import apply_strategy, choose_strategy, wave_rng
+
+# cluster CPUs per frontier shard and per dedup shard when the config
+# leaves the counts at 0 (derive)
+CPUS_PER_SHARD = 16
 
 
 @ray.remote
@@ -145,10 +153,11 @@ class CrawlEngine:
         self.seen_mode = seen_mode
         self._RemoteShard = ray.remote(num_cpus=0)(FrontierShard)
         self._RemoteDedup = ray.remote(num_cpus=0)(DedupShard)
-        self.shards = [self._make_frontier(i)
-                       for i in range(self.cfg.num_frontier_shards)]
-        self.dedup = [self._make_dedup(i)
-                      for i in range(self.cfg.num_seen_shards)]
+        # read once: sizes the shard fleets here and every wave's chunks
+        self.ncpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
+        derived = -(-self.ncpu // CPUS_PER_SHARD)
+        self._spawn_fleet(self.cfg.num_frontier_shards or derived,
+                          self.cfg.num_seen_shards or derived)
         self.actor_recoveries = 0
         from ..corpus.store import put_corpus_index
 
@@ -163,18 +172,26 @@ class CrawlEngine:
         self._pctx = ProcessContext(self.cfg)
         self._seed_robots()
 
-    def _make_frontier(self, i: int):
+    def _spawn_fleet(self, n_frontier: int, n_dedup: int) -> None:
+        self.shards = [self._make_frontier(i, n_frontier)
+                       for i in range(n_frontier)]
+        self.dedup = [self._make_dedup(i, n_dedup) for i in range(n_dedup)]
+
+    def _make_frontier(self, i: int, n: int):
+        # filter capacities are fleet totals split evenly, so the
+        # false-positive budget does not depend on the shard count
         spill_root = os.path.join(self.cfg.output_dir, "spill")
         return self._RemoteShard.remote(
             i, self.seen_mode,
+            seen_capacity=SEEN_CAPACITY // n,
             host_queue_cap=self.cfg.host_queue_cap,
             spill_dir=os.path.join(spill_root, f"shard_{i:03d}"),
         )
 
-    def _make_dedup(self, i: int):
+    def _make_dedup(self, i: int, n: int):
         return self._RemoteDedup.remote(
             i, self.cfg.image_seen_mode,
-            capacity=self.cfg.image_seen_capacity,
+            capacity=self.cfg.image_seen_capacity // n,
         )
 
     def _seed_robots(self) -> None:
@@ -184,7 +201,7 @@ class CrawlEngine:
             by_shard: dict[int, list] = {}
             for host, text in self.corpus.robots.items():
                 by_shard.setdefault(
-                    shard_of(host, self.cfg.num_frontier_shards), []
+                    shard_of(host, len(self.shards)), []
                 ).append((host, text))
             ray.get([self.shards[s].set_robots.remote(items)
                      for s, items in by_shard.items()])
@@ -231,11 +248,11 @@ class CrawlEngine:
         for i, a in enumerate(self.shards):
             if self._alive(a):
                 ray.kill(a, no_restart=True)
-            self.shards[i] = self._make_frontier(i)
+            self.shards[i] = self._make_frontier(i, len(self.shards))
         for i, a in enumerate(self.dedup):
             if self._alive(a):
                 ray.kill(a, no_restart=True)
-            self.dedup[i] = self._make_dedup(i)
+            self.dedup[i] = self._make_dedup(i, len(self.dedup))
         # (with no published checkpoint the caller's _init_run_state
         # finds nothing to restore and restarts from seeds — correct
         # for death before the first barrier, since the fleet is fresh)
@@ -249,7 +266,7 @@ class CrawlEngine:
         by_shard: dict[int, list] = {}
         for it in items:
             by_shard.setdefault(
-                shard_of(it[2], self.cfg.num_frontier_shards), []
+                shard_of(it[2], len(self.shards)), []
             ).append(it)
         ray.get([self.shards[s].offer.remote(v) for s, v in by_shard.items()])
 
@@ -266,7 +283,7 @@ class CrawlEngine:
         by_shard: dict[int, list] = {}
         for cand in leftover:
             by_shard.setdefault(
-                shard_of(cand[2], self.cfg.num_frontier_shards), []
+                shard_of(cand[2], len(self.shards)), []
             ).append(cand)
         ray.get([self.shards[s].push_back.remote(v) for s, v in by_shard.items()])
 
@@ -330,7 +347,9 @@ class CrawlEngine:
         # meta carries only O(waves) state; the crawl order lives in the
         # immutable per-wave logs under <output_dir>/order/
         with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump({"wave": wave, "wave_log": wave_log}, f)
+            json.dump({"wave": wave, "wave_log": wave_log,
+                       "frontier_shards": len(blob_refs),
+                       "dedup_shards": len(dblob_refs)}, f)
         if os.path.exists(ckdir):
             shutil.rmtree(ckdir)
         os.rename(tmp, ckdir)  # atomic publish
@@ -355,6 +374,18 @@ class CrawlEngine:
         ckdir = os.path.join(root, waves[-1])
         with open(os.path.join(ckdir, "meta.json")) as f:
             meta = json.load(f)
+        # a shard's seen set cannot be re-sharded (ids do not record
+        # their host), so the fleet takes the checkpoint's shape — which
+        # differs from ours after a pin change or on another cluster.
+        # Checkpoints without the counts in meta have one file per shard.
+        n_frontier = meta.get("frontier_shards") or len(
+            glob.glob(os.path.join(ckdir, "frontier_*.bin")))
+        n_dedup = meta.get("dedup_shards") or len(
+            glob.glob(os.path.join(ckdir, "dedup_*.bin")))
+        if (n_frontier, n_dedup) != (len(self.shards), len(self.dedup)):
+            for a in (*self.shards, *self.dedup):
+                ray.kill(a, no_restart=True)
+            self._spawn_fleet(n_frontier, n_dedup)
         futs = []
         for i, s in enumerate(self.shards):
             with open(os.path.join(ckdir, f"frontier_{i:03d}.bin"), "rb") as f:
@@ -425,12 +456,10 @@ class CrawlEngine:
             start_wave = meta["wave"] + 1
             # wave outputs and order logs beyond the checkpoint are
             # replayed — clear them so nothing can duplicate
-            import glob as _glob
-
-            for d in _glob.glob(os.path.join(cfg.output_dir, "wave=*")):
+            for d in glob.glob(os.path.join(cfg.output_dir, "wave=*")):
                 if int(d.rsplit("=", 1)[1]) >= start_wave:
                     shutil.rmtree(d, ignore_errors=True)
-            for p in sorted(_glob.glob(os.path.join(order_dir, "wave=*.txt"))):
+            for p in sorted(glob.glob(os.path.join(order_dir, "wave=*.txt"))):
                 w = int(os.path.basename(p)[5:10])
                 if w >= start_wave:
                     os.remove(p)
@@ -517,12 +546,8 @@ class CrawlEngine:
                 # ~4 tasks of slack (a 1k-URL wave at batch 256 is only 4
                 # tasks — idle cores on an 8-CPU cluster); large waves cap
                 # at wave_batch_size.
-                try:
-                    ncpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
-                except Exception:  # pragma: no cover - resources always known
-                    ncpu = 1
                 bs = min(cfg.wave_batch_size,
-                         max(32, -(-len(urls) // (ncpu * 4))))
+                         max(32, -(-len(urls) // (self.ncpu * 4))))
                 chunks = [tbl.slice(i, bs) for i in range(0, len(urls), bs)]
                 wave_dir = os.path.join(cfg.output_dir, f"wave={wave:05d}")
                 shutil.rmtree(wave_dir, ignore_errors=True)
@@ -742,8 +767,6 @@ def load_unified(output_dir: str, columns: list[str] | None = None):
     per row through the object store for nothing). The tombstone filter
     needs ``wave``/``ord``/``kind`` internally; they're read regardless
     and projected back out before returning."""
-    import glob
-
     files = sorted(glob.glob(os.path.join(output_dir, "wave=*", "*.parquet")))
     read_cols = None
     if columns is not None:

@@ -81,8 +81,11 @@ def test_actor_death_midcrawl_recovers(ray_session, corpus, oracle):
 
     from playwrightcrawler_ray.pipelines.crawl import CrawlEngine, load_images
 
+    # pinned fleet: the kills index shards 1 and dedup 1, and the
+    # derived fleet on a small test cluster is 1+1
     cfg = CrawlConfig(output_dir="/tmp/pwc_golden_actordeath",
-                      max_waves=100)
+                      max_waves=100, num_frontier_shards=8,
+                      num_seen_shards=8)
     shutil.rmtree(cfg.output_dir, ignore_errors=True)
     engine = CrawlEngine(corpus, cfg)
     orig = engine._pop_merged
@@ -122,7 +125,8 @@ def test_actor_death_before_first_checkpoint(ray_session, corpus, oracle):
     from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
 
     cfg = CrawlConfig(output_dir="/tmp/pwc_golden_actordeath0",
-                      max_waves=100)
+                      max_waves=100, num_frontier_shards=8,
+                      num_seen_shards=8)
     shutil.rmtree(cfg.output_dir, ignore_errors=True)
     engine = CrawlEngine(corpus, cfg)
     orig = engine._pop_merged
@@ -139,6 +143,89 @@ def test_actor_death_before_first_checkpoint(ray_session, corpus, oracle):
     assert killed["done"] and engine.actor_recoveries >= 1
     assert res.order == oracle.order
     assert res.seen_ids() == oracle.seen_ids
+
+
+def _image_keys(imgs) -> set:
+    return set(zip(imgs["caption"], imgs["phash"]))
+
+
+def _oracle_image_keys(oracle) -> set:
+    return set((v["caption"], v["phash"]) for v in oracle.images.values())
+
+
+def test_engine_derives_shard_counts_from_cluster_cpus(ray_session, corpus):
+    """Unpinned fleets hold one shard per CPUS_PER_SHARD cluster CPUs;
+    a pinned count wins, each field on its own."""
+    import ray as _ray
+
+    from playwrightcrawler_ray.pipelines.crawl import (
+        CPUS_PER_SHARD,
+        CrawlEngine,
+    )
+
+    cpus = int(_ray.cluster_resources()["CPU"])
+    derived = -(-cpus // CPUS_PER_SHARD)
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_fleet", num_seen_shards=3)
+    engine = CrawlEngine(corpus, cfg)
+    try:
+        assert (len(engine.shards), len(engine.dedup)) == (derived, 3)
+    finally:
+        for a in (*engine.shards, *engine.dedup):
+            _ray.kill(a, no_restart=True)
+
+
+@pytest.mark.parametrize("n_shards", [3, 8])
+def test_goldens_at_pinned_shard_counts(ray_session, corpus, oracle,
+                                        n_shards):
+    """Shard count changes no output: each host lives on one shard,
+    pops are merge-sorted by (wave, url) and dedup winners are the
+    minimum ord. The derived count is covered by the tests below."""
+    from playwrightcrawler_ray.pipelines.crawl import load_images, run_crawl
+
+    cfg = CrawlConfig(output_dir=f"/tmp/pwc_golden_shards{n_shards}",
+                      max_waves=100, num_frontier_shards=n_shards,
+                      num_seen_shards=n_shards)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    res = run_crawl(corpus, cfg, collect_seen_ids=True)
+    assert res.order == oracle.order
+    assert res.seen_ids() == oracle.seen_ids
+    imgs = load_images(cfg.output_dir).to_pandas()
+    assert _image_keys(imgs) == _oracle_image_keys(oracle)
+    assert len(imgs) == len(oracle.images)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+
+
+@pytest.mark.parametrize("mode", ["cuckoo", "bloom"])
+def test_seen_filter_capacity_is_a_fleet_total(ray_session, corpus, mode):
+    """Frontier and dedup filters split one total capacity over their
+    shards, so the table size (and the false-positive budget) is the
+    same at 1 and 8 shards."""
+    import pickle
+
+    import ray as _ray
+
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
+
+    def table_bytes(actors) -> int:
+        states = [pickle.loads(b)["seen"]
+                  for b in _ray.get([a.checkpoint.remote() for a in actors])]
+        return sum((st["table"] if mode == "cuckoo" else st["bits"]).nbytes
+                   for st in states)
+
+    sizes = []
+    for n in (1, 8):
+        cfg = CrawlConfig(output_dir=f"/tmp/pwc_golden_capacity{n}",
+                          num_frontier_shards=n, num_seen_shards=n,
+                          image_seen_mode=mode)
+        engine = CrawlEngine(corpus, cfg, seen_mode=mode)
+        try:
+            sizes.append((table_bytes(engine.shards),
+                          table_bytes(engine.dedup)))
+        finally:
+            for a in (*engine.shards, *engine.dedup):
+                _ray.kill(a, no_restart=True)
+    assert sizes[0] == sizes[1]
+    assert min(sizes[0]) > 0
 
 
 def test_crawl_ordering_matches_oracle(engine_result, oracle):
@@ -360,6 +447,48 @@ def test_resume_from_checkpoint_equivalent(ray_session, corpus, oracle):
     assert resumed.order[: len(partial.order)] == partial.order
     assert resumed.order == oracle.order
     assert resumed.seen_ids() == oracle.seen_ids
+
+
+@pytest.mark.parametrize("legacy_meta", [False, True])
+def test_resume_across_fleet_sizes(ray_session, corpus, oracle, legacy_meta):
+    """A checkpoint written by an 8+8 fleet resumes on an engine that
+    would derive a smaller fleet: the engine rebuilds the fleet at the
+    checkpoint's counts (seen sets cannot be re-sharded), read from
+    meta.json or, for checkpoints without them, from the shard files."""
+    import glob
+    import json
+    import os
+
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine, load_images
+
+    base = dict(output_dir=f"/tmp/pwc_golden_reshard{int(legacy_meta)}",
+                max_waves=100)
+    shutil.rmtree(base["output_dir"], ignore_errors=True)
+    pinned = CrawlEngine(corpus, CrawlConfig(**base, num_frontier_shards=8,
+                                             num_seen_shards=8))
+    partial = pinned.run(max_waves=3)
+    assert partial.waves == 3
+    metas = glob.glob(os.path.join(base["output_dir"], "checkpoints",
+                                   "wave=*", "meta.json"))
+    assert metas
+    for path in metas:
+        with open(path) as f:
+            meta = json.load(f)
+        assert (meta["frontier_shards"], meta["dedup_shards"]) == (8, 8)
+        if legacy_meta:
+            del meta["frontier_shards"], meta["dedup_shards"]
+            with open(path, "w") as f:
+                json.dump(meta, f)
+
+    engine = CrawlEngine(corpus, CrawlConfig(**base))
+    assert len(engine.shards) < 8
+    resumed = engine.run(resume=True, collect_seen_ids=True)
+    assert (len(engine.shards), len(engine.dedup)) == (8, 8)
+    assert resumed.order == oracle.order
+    assert resumed.seen_ids() == oracle.seen_ids
+    imgs = load_images(base["output_dir"]).to_pandas()
+    assert _image_keys(imgs) == _oracle_image_keys(oracle)
+    assert len(imgs) == len(oracle.images)
 
 
 def test_resume_after_crash_mid_wave(ray_session, corpus, oracle):

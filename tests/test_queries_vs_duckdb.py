@@ -317,6 +317,40 @@ def test_ann_topk_ivfpq_recall_and_exact_rerank(entrymod):
     assert pq_.equals(qs["ann_topk_ivfpq"](SF_DIR))
 
 
+def test_ann_training_sample_independent_of_partitioning(ray_session):
+    """The IVF / IVF-PQ training sample (hash-smallest vec_ids) is the
+    same however the input is partitioned. The sample is large enough
+    that batches keep rows whose hash has the top bit set, so a sort
+    key that loses the unsigned order shows up as a different sample."""
+    import numpy as np
+    import ray
+
+    from playwrightcrawler_ray.ops.ann import _hash_smallest, _kmeans_centroids
+
+    n_rows, n = 10_000, 3000
+    df = pd.DataFrame({
+        "vec_id": np.arange(n_rows, dtype=np.int64),
+        "embedding": [[float(i), -float(i)] for i in range(n_rows)],
+    })
+    seed64 = np.uint64(7)
+    v = df["vec_id"].to_numpy().astype(np.uint64)
+    h = (v ^ seed64) * np.uint64(0x9E3779B97F4A7C15)
+    h ^= h >> np.uint64(29)
+    h = h * np.uint64(0xBF58476D1CE4E5B9)
+    h ^= h >> np.uint64(32)
+    want = v[np.argsort(h, kind="stable")[:n]].astype(np.int64).tolist()
+
+    centroids = []
+    for parts in (1, 5, 13):
+        ds = ray.data.from_pandas(df).repartition(parts)
+        got = _hash_smallest(ds, seed64, n)
+        assert got["vec_id"].tolist() == want, parts
+        assert [e[0] for e in got["embedding"]] == want, parts
+        centroids.append(_kmeans_centroids(lambda ds=ds: ds, n, 0, 3))
+    for c in centroids[1:]:
+        assert np.array_equal(c, centroids[0])
+
+
 def test_entry_smoke(entrymod):
     ds = entrymod.entry()
     df = ds.to_pandas() if not isinstance(ds, pd.DataFrame) else ds
