@@ -2,9 +2,9 @@
 
 ``entry()`` runs the flagship crawl pipeline (seeded synthetic corpus →
 frontier-scheduled waves → images table of the BASELINE.json input_hint
-shape) and returns the images Dataset. ``queries()`` exposes the 73
+shape) and returns the images Dataset. ``queries()`` exposes the
 implemented operators over the driver's parquet tables;
-``oracle_sql()`` gives the DuckDB-equivalent SQL for the 49
+``oracle_sql()`` gives the DuckDB-equivalent SQL for the
 SQL-expressible ones (approximate/heuristic ops are rows-only by
 design: minhash-LSH, simhash, LSH/IVF-ANN, LSH near-dup, k-means,
 HLL distinct-count, language-ID, fingerprints, and the

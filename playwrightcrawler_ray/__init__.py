@@ -4,8 +4,10 @@ A from-scratch reimplementation of the capabilities of
 rggassner/playwrightcrawler (reference at /root/reference, cited by
 file:line throughout) on idiomatic Ray Data:
 
-- ``ray.data.Dataset`` pipelines of ``map_batches`` stages over zero-copy
-  Arrow batches for fetch → route → parse → decode → write;
+- pyarrow batch stages over zero-copy Arrow batches for fetch → route →
+  parse → decode → write, run per crawl-wave chunk as plain Ray tasks;
+  ``ray.data.Dataset`` pipelines of ``map_batches`` for the images table
+  and the post-crawl ops;
 - Ray actor pools for the mutable crawl state (sharded URL-frontier with a
   cuckoo-filter URL-seen set, per-host politeness budgets, robots cache,
   pixel-hash dedup set);
@@ -15,7 +17,7 @@ file:line throughout) on idiomatic Ray Data:
 
 Nothing here is a port: the reference's Elasticsearch-as-frontier and
 sequential Playwright loop are replaced by an explicit frontier service and
-a streaming Dataset per crawl wave (SURVEY.md §7).
+waves of plain Ray tasks over the same pyarrow batch stages (SURVEY.md §7).
 """
 
 __version__ = "0.1.0"

@@ -173,8 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 if server is not None:
                     server.close()
-            out = {k: v for k, v in res.stats.items()
-                   if k not in ("seen_ids", "last_wave_dataset_stats")}
+            out = {k: v for k, v in res.stats.items() if k != "seen_ids"}
             extra = (
                 {"http_requests": server.request_count} if server else {}
             )

@@ -138,29 +138,11 @@ class CrawlConfig:
     # crawl tables on the same corpus.
     fetch_backend: str = "corpus"
     http_addr: str = ""
-    # one batch/block size for ALL wave stages: Ray fuses the stage
-    # chain into one operator whose task granularity is the largest
-    # fused batch_size — mixed sizes silently serialize the wave.
-    # Small values = high fetch concurrency (latency-bound crawls);
-    # large values amortize per-task overhead (compute-bound).
+    # URLs per wave chunk task, at most (small waves use smaller
+    # chunks so every CPU gets work). Small values = high fetch
+    # concurrency (latency-bound crawls); large values amortize
+    # per-task overhead (compute-bound).
     wave_batch_size: int = 128
-    # Waves at or below this many URLs run as plain Ray tasks (one per
-    # chunk, same stage functions + chunking as the Dataset path, so
-    # output is identical) instead of a streaming-executor job. A
-    # Dataset job carries fixed driver overhead (executor spin-up,
-    # scheduling ramp, per-op accounting) measured at ~1.5 s on
-    # sub-second waves and 2-6 s on a 33k-URL bulk wave — the 4→16-CPU
-    # scaling ceiling of BENCH_scaling_r3_4v16_decomp. The task path is
-    # scale-equivalent up to ~1M-URL waves: each task writes its own
-    # parquet shard directly (no output ever crosses the object store),
-    # per-task memory is bounded by the chunk size exactly like a
-    # Dataset block, retries are idempotent (deterministic rewrite of
-    # the same file; dedup re-claims are keyed), and the driver holds
-    # only O(chunks) int refs (≤4096 at the default batch size). Waves
-    # beyond the cap use the streaming executor, whose backpressure +
-    # spilling matter when a single wave's working set exceeds cluster
-    # memory. 0 forces the Dataset path everywhere.
-    small_wave_task_path_max: int = 1 << 20
     # publish per-wave checkpoints on a background thread (the actor
     # state snapshot RPC is still issued AT the barrier — ordering
     # with next-wave offers is preserved by actor message order; only

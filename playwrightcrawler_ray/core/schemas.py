@@ -3,8 +3,8 @@
 The reference's schema is ES-dynamic but fixed per ``source`` label
 (SURVEY.md §1.3); here every table has an explicit ``pyarrow.Schema``.
 The crawl pipeline emits one *unified* row stream (``kind`` column
-discriminates page docs from image rows) so a wave is a single
-streaming Dataset with one sink; ``IMAGES_SCHEMA`` (the BASELINE.json
+discriminates page docs from image rows) so each wave chunk writes
+one parquet file; ``IMAGES_SCHEMA`` (the BASELINE.json
 input_hint shape) and ``PAGES_SCHEMA`` are projections of it.
 """
 

@@ -440,8 +440,8 @@ def q_events_rolling(sf_dir: str) -> pd.DataFrame:
 SQL_EVENTS_ROLLING = """
 SELECT event_id, user_id,
        COALESCE(epoch_us(ts) - LAG(epoch_us(ts)) OVER w, -1) AS gap_us,
-       SUM(event_id % 1000) OVER (
-           w ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS roll_sum5
+       CAST(SUM(event_id % 1000) OVER (
+           w ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS BIGINT) AS roll_sum5
 FROM events
 WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
 """
@@ -486,7 +486,7 @@ def q_lineitem_rollup(sf_dir: str) -> pd.DataFrame:
 SQL_LINEITEM_ROLLUP = """
 SELECT COALESCE(l_returnflag, 'ALL') AS returnflag,
        COALESCE(l_linestatus, 'ALL') AS linestatus,
-       SUM(CAST(l_quantity AS BIGINT)) AS sum_qty,
+       CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty,
        COUNT(*) AS n
 FROM lineitem
 GROUP BY ROLLUP(l_returnflag, l_linestatus)

@@ -303,7 +303,7 @@ def q_bloom_semijoin(sf_dir: str, fp_rate: float = 1e-3) -> pd.DataFrame:
 SQL_BLOOM_SEMIJOIN = """
 SELECT l.l_orderkey AS orderkey,
        COUNT(*) AS n_items,
-       SUM(CAST(l_quantity AS BIGINT)) AS sum_qty
+       CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty
 FROM lineitem l
 JOIN orders o ON l.l_orderkey = o.o_orderkey
 WHERE o.o_orderpriority = '1-URGENT'

@@ -1148,7 +1148,12 @@ def q_words_edit_pairs(sf_dir: str, max_dist: int = 2,
     deletion variant; candidate pairs are verified inside their
     partition and deduped at the (small, output-sized) merge — the
     documented swap at a web-scale vocabulary is a final
-    groupby(pair) instead of the driver-side drop_duplicates."""
+    groupby(pair) instead of the driver-side drop_duplicates.
+
+    ``max_dist`` is at most 2: the verify DP decides distances ≤ 2
+    only, so a wider band would silently drop pairs."""
+    if max_dist > 2:
+        raise ValueError(f"max_dist must be <= 2, got {max_dist}")
     import numpy as np
 
     ds = _docs(sf_dir, ["text"])

@@ -1,21 +1,22 @@
-"""The crawl wave driver: frontier actors + one streaming Dataset per
-wave, with per-wave checkpoints.
+"""The crawl wave driver: frontier actors + one plain Ray task per wave
+chunk, with per-wave checkpoints.
 
 Replaces the reference's process loop (`main`/`crawler`,
 playwrightcrawler.py:5345-5414): instead of N lock-coordinated OS
 processes polling Elasticsearch, one logical job alternates
 
     pop wave from sharded frontier actors
-    → Dataset: fetch → parse(+offer links) → imgfetch → decode(+dedup)
-    → write parquet partition ``wave=K``
+    → chunk tasks: fetch → parse(+offer links) → imgfetch → decode(+dedup)
+      → one parquet file per chunk under partition ``wave=K``
     → checkpoint frontier + dedup shards
 
-Within a wave the streaming executor pipelines all stages across blocks
-(the "pipelined fetch/decode/phash-dedup/write" of the north star);
-across waves the actors carry state. Determinism: shard pops are
-deterministic, the driver merge-sorts candidates by ``(wave, url)``,
-and strategy sampling is seeded — so crawl *ordering* is reproducible
-and verified against the sequential oracle (tests/test_crawl_golden.py).
+Within a wave the chunk tasks run in parallel, at most ``4 × cluster
+CPUs`` in flight; each runs the fused chain of pyarrow batch functions
+(stages/ray_stages.py). Across waves the actors carry state.
+Determinism: shard pops are deterministic, the driver merge-sorts
+candidates by ``(wave, url)``, and strategy sampling is seeded — so
+crawl *ordering* is reproducible and verified against the sequential
+oracle (tests/test_crawl_golden.py).
 
 Scale notes (100 TB / 10^10 URLs):
 - frontier shards scale horizontally (``hash(host) % num_shards``); a
@@ -71,33 +72,15 @@ CPUS_PER_SHARD = 16
 
 @ray.remote
 def _wave_chunk_task(fns_ref, tbl: pa.Table, path: str) -> int:
-    """Small-wave fast path: one chunk through the SAME fused stage
-    chain the Dataset path runs (fetch → parse → imgfetch → decode),
-    written as one parquet file. A streaming-executor job costs ~1.5 s
-    of fixed driver overhead per wave — for sub-second waves that fixed
-    cost is the 4→16-CPU scaling ceiling (the barrier-bound waves of
-    BENCH_scaling_r3_4v16_decomp); plain tasks keep the parallelism
-    (one task per chunk) without the executor. Output is identical:
-    same functions, same chunk boundaries = same batches. ``fns``
-    arrives as an ObjectRef argument (one ``ray.put`` per crawl, Ray
-    resolves it per task from the local object store — broadcast, not
-    re-shipped per chunk)."""
+    """One wave chunk through the fused stage chain (fetch → parse →
+    imgfetch → decode), written as one parquet file, so no output
+    crosses the object store. ``fns_ref`` is an ObjectRef argument (one
+    ``ray.put`` per stage-chain build); Ray resolves it per task from
+    the local object store. A retry rewrites the same file, and dedup
+    re-claims are keyed, so the task is idempotent."""
     import pyarrow.parquet as pq
 
     fetch_fn, parse_fn, imgfetch_fn, decode_fn = fns_ref
-    if os.environ.get("PWC_STAGE_TIMING"):
-        import time as _t
-
-        ts = [_t.perf_counter()]
-        a = fetch_fn(tbl); ts.append(_t.perf_counter())
-        b = parse_fn(a); ts.append(_t.perf_counter())
-        c = imgfetch_fn(b); ts.append(_t.perf_counter())
-        out = decode_fn(c); ts.append(_t.perf_counter())
-        pq.write_table(out, path); ts.append(_t.perf_counter())
-        d = [round(ts[i + 1] - ts[i], 3) for i in range(5)]
-        print(f"[stage-timing] rows={tbl.num_rows} fetch={d[0]} "
-              f"parse={d[1]} imgfetch={d[2]} decode={d[3]} write={d[4]}")
-        return out.num_rows
     out = decode_fn(imgfetch_fn(parse_fn(fetch_fn(tbl))))
     pq.write_table(out, path)
     return out.num_rows
@@ -238,13 +221,11 @@ class CrawlEngine:
         except BaseException:
             pass
         # Recreate the WHOLE fleet as fresh actor instances — dead AND
-        # surviving shards. Sibling tasks of the failed wave may still
-        # be in flight (the Dataset executor tears its tasks down
-        # asynchronously; the caller cancels the plain-task path's
-        # refs, but cancellation is best-effort): their in-band dedup
-        # claims / frontier offers must land on KILLED handles and
-        # fail harmlessly rather than mutate the restored state of a
-        # surviving shard mid-rewind.
+        # surviving shards. Sibling chunk tasks of the failed wave may
+        # still be running (the caller cancels them, but cancellation
+        # is best-effort): their in-band dedup claims / frontier offers
+        # must land on KILLED handles and fail harmlessly rather than
+        # mutate the restored state of a surviving shard mid-rewind.
         for i, a in enumerate(self.shards):
             if self._alive(a):
                 ray.kill(a, no_restart=True)
@@ -403,6 +384,9 @@ class CrawlEngine:
         recovery — they capture frontier/dedup actor handles, and the
         recovered fleet has new ones."""
         cfg = self.cfg
+        # real-socket backend: latency/flaky/truncation happen on the
+        # server and in the client's own retry/Range loops — the
+        # simulation refs must not double-apply
         use_http = cfg.fetch_backend == "http" and bool(cfg.http_addr)
         http_addr = cfg.http_addr if use_http else None
         flaky_ref = (
@@ -487,19 +471,17 @@ class CrawlEngine:
         start_wave, wave_log, order_files, pages_fetched = \
             self._init_run_state(resume)
 
-        # real-socket backend: latency/flaky/truncation happen on the
-        # server and in the client's own retry/Range loops — the
-        # simulation refs must not double-apply
-        fetch_fn, parse_fn, imgfetch_fn, decode_fn = self._build_stage_fns()
+        fns_ref = ray.put(self._build_stage_fns())
         limit = max_waves if max_waves is not None else cfg.max_waves
+        # chunk tasks in flight at once: bounds queued chunk inputs and
+        # refs by cluster size, not by wave size
+        window = 4 * self.ncpu
 
         t0 = time.perf_counter()
         wave = start_wave
         empty_streak = 0
         recoveries = 0
-        last_wave_stats = ""
-        fns_ref = None  # one object-store put of the stage chain, lazy
-        inflight: list = []  # plain-task path's chunk refs (for cancel)
+        inflight: list = []  # submitted, unfinished chunk refs (for cancel)
         while wave < limit:
             try:
                 candidates = self._pop_merged(wave)
@@ -538,52 +520,29 @@ class CrawlEngine:
                         "ord": pa.array(range(len(urls)), pa.int64()),
                     }
                 )
-                # pre-slice into one Arrow table per wave block: from_arrow
-                # makes each a block directly (no Repartition operator), and
-                # a uniform batch_size across the fused stage chain keeps
-                # task granularity = one block (see CrawlConfig note).
-                # Adaptive: small waves shrink the batch so every CPU gets
-                # ~4 tasks of slack (a 1k-URL wave at batch 256 is only 4
-                # tasks — idle cores on an 8-CPU cluster); large waves cap
-                # at wave_batch_size.
+                # Adaptive chunk size: small waves shrink the chunk so
+                # every CPU gets ~4 tasks of slack (a 1k-URL wave at 256
+                # is only 4 tasks — idle cores on an 8-CPU cluster);
+                # large waves cap at wave_batch_size.
                 bs = min(cfg.wave_batch_size,
                          max(32, -(-len(urls) // (self.ncpu * 4))))
-                chunks = [tbl.slice(i, bs) for i in range(0, len(urls), bs)]
                 wave_dir = os.path.join(cfg.output_dir, f"wave={wave:05d}")
                 shutil.rmtree(wave_dir, ignore_errors=True)
+                os.makedirs(wave_dir, exist_ok=True)
                 # link offers + dedup claims happen INSIDE the decode stage
                 # (awaited per batch) — the write barrier (all chunk tasks
-                # done / write_parquet returned) therefore means: every link
-                # row is durable AND offered, every dedup claim staged.
-                if (cfg.small_wave_task_path_max > 0
-                        and len(urls) <= cfg.small_wave_task_path_max):
-                    # small-wave fast path: same fns, same chunk boundaries,
-                    # one plain Ray task per chunk — skips the streaming
-                    # executor's ~1.5 s fixed per-job driver overhead that
-                    # dominates sub-second waves (the barrier-bound waves of
-                    # BENCH_scaling_r3_4v16_decomp)
-                    if fns_ref is None:
-                        fns_ref = ray.put(
-                            (fetch_fn, parse_fn, imgfetch_fn, decode_fn)
-                        )
-                    os.makedirs(wave_dir, exist_ok=True)
-                    inflight = [
-                        _wave_chunk_task.remote(
-                            fns_ref, c,
-                            os.path.join(wave_dir, f"part-{i:05d}.parquet"),
-                        )
-                        for i, c in enumerate(chunks)
-                    ]
-                    ray.get(inflight)
-                    inflight = []
-                    ds = None
-                else:
-                    ds = ray.data.from_arrow(chunks)
-                    for fn in (fetch_fn, parse_fn, imgfetch_fn, decode_fn):
-                        ds = ds.map_batches(
-                            fn, batch_format="pyarrow", batch_size=bs
-                        )
-                    ds.write_parquet(wave_dir)
+                # done) therefore means: every link row is durable AND
+                # offered, every dedup claim staged.
+                for i, start in enumerate(range(0, len(urls), bs)):
+                    if len(inflight) >= window:
+                        done, inflight = ray.wait(inflight, num_returns=1)
+                        ray.get(done)  # surface a failed chunk now
+                    inflight.append(_wave_chunk_task.remote(
+                        fns_ref, tbl.slice(start, bs),
+                        os.path.join(wave_dir, f"part-{i:05d}.parquet"),
+                    ))
+                ray.get(inflight)
+                inflight = []
                 t_write = time.perf_counter()
                 conflicts: list[tuple[int, list[int]]] = []
                 for part in ray.get([d.commit_wave.remote() for d in self.dedup]):
@@ -597,9 +556,6 @@ class CrawlEngine:
                     if full_l or img_l:
                         _write_tombstones(wave_dir, full_l, img_l)
                 t_fixup = time.perf_counter()
-                t_pipeline = time.perf_counter() - tw
-                if ds is not None:
-                    last_wave_stats = ds.stats()
                 # append-only order log: one immutable file per wave
                 opath = os.path.join(order_dir, f"wave={wave:05d}.txt")
                 with open(opath + ".tmp", "w") as f:
@@ -622,11 +578,11 @@ class CrawlEngine:
                     self._checkpoint(wave, wave_log)
                 wave += 1
 
-            except Exception as err:
+            except Exception:
                 # actor-loss recovery (VERDICT r4 item 5): a dead
                 # frontier/dedup shard surfaces as RayActorError — from
-                # a driver RPC directly, or wrapped in a RayTaskError /
-                # Dataset execution error from inside a stage task.
+                # a driver RPC directly, or wrapped in a RayTaskError
+                # from inside a chunk task.
                 # Probe-and-recover is authoritative: if no shard is
                 # actually dead, this was a different failure — re-raise.
                 # First: cancel + drain this wave's sibling chunk tasks
@@ -650,9 +606,7 @@ class CrawlEngine:
                 wave = start_wave
                 empty_streak = 0
                 # stage closures hold handles to the dead fleet
-                fetch_fn, parse_fn, imgfetch_fn, decode_fn = \
-                    self._build_stage_fns()
-                fns_ref = None
+                fns_ref = ray.put(self._build_stage_fns())
                 continue
         self._join_checkpoint()  # final checkpoint durable before return
         elapsed = time.perf_counter() - t0
@@ -675,7 +629,6 @@ class CrawlEngine:
                 "pages_per_sec": pages_fetched / elapsed if elapsed > 0 else 0.0,
                 "frontier": agg,
                 "frontier_ops": agg.get("offered", 0) + agg.get("popped", 0),
-                "last_wave_dataset_stats": last_wave_stats[:4000],
                 "frontier_ops_per_sec": (
                     (agg.get("offered", 0) + agg.get("popped", 0)) / elapsed
                     if elapsed > 0

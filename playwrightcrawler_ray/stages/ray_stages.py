@@ -1,12 +1,16 @@
-"""Ray Data ``map_batches`` stage functions for the crawl wave.
+"""Pyarrow batch functions for the crawl wave's stages.
 
-Stages are *stateless task* functions (not actor pools) built by
-factories that close over broadcast object refs and actor handles.
-Rationale: a crawl runs many short waves; per-wave actor-pool startup
-(~0.5 s × pool × stage × wave) would dominate. Worker *processes*
-persist across tasks, so per-process state (corpus dict, compiled regex
-tables) lives in module-level caches — same amortization as an actor
-``__init__``, without pool churn. The NSFW-style scorer stage
+Each stage maps a ``pa.Table`` batch to a ``pa.Table``. The crawl
+driver chains all four inside one plain Ray task per wave chunk
+(pipelines/crawl.py); the same functions also fit Ray Data's
+``map_batches(fn, batch_format="pyarrow")``. They are *stateless*
+functions (not actor pools) built by factories that close over
+broadcast object refs and actor handles. Rationale: a crawl runs many
+short waves; per-wave actor-pool startup (~0.5 s × pool × stage ×
+wave) would dominate. Worker *processes* persist across tasks, so
+per-process state (corpus dict, compiled regex tables) lives in
+module-level caches — same amortization as an actor ``__init__``,
+without pool churn. The NSFW-style scorer stage
 (stages/nsfw.py) shows the true actor-pool pattern where per-worker
 state is a loaded model.
 
@@ -321,10 +325,9 @@ def make_parse_fn(cfg: CrawlConfig, corpus_ref=None,
 
 
 def make_offer_fn(frontier_handles: list):
-    """Post-wave link relay stage: batches of ``kind='link'`` rows →
-    shard-routed frontier offers. Runs as its own small Dataset pass
-    after the wave's write barrier, so offers stay exact/deterministic
-    while the relay work (sha1, urlsplit, actor RPC) is parallel
+    """Link relay: batches of ``kind='link'`` rows → shard-routed
+    frontier offers. The decode stage calls it on each batch, so the
+    relay work (sha1, urlsplit, actor RPC) runs in the chunk tasks
     instead of a driver loop."""
     from urllib.parse import urlsplit
 
@@ -470,8 +473,7 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
     to the frontier here (awaited with the CPU-holding wait): decode is
     the last stage before the write sink, so the wave's write barrier
     then implies every offer was processed — same exactness as a
-    separate post-wave offer pass without a second Dataset execution
-    per wave."""
+    separate post-wave offer pass, without a second pass per wave."""
     num_shards = len(dedup_handles)
     _offer_inline = (
         make_offer_fn(frontier_handles) if frontier_handles is not None else None

@@ -528,30 +528,50 @@ def test_yyyymm_time_partition_stamped(engine_result):
     assert (t["yyyymm"] == cfg.crawl_yyyymm).all()
 
 
-def test_dataset_path_equals_task_path(ray_session, corpus, engine_result,
-                                       oracle):
-    """The small-wave plain-task fast path (default) and the streaming
-    Dataset path (small_wave_task_path_max=0) must produce identical
-    crawls: same order, same seen set, same unified rows — the fast
-    path runs the SAME fused stage chain over the SAME chunk
-    boundaries, so this is a structural equivalence, not luck. Also
-    pins sync-checkpoint mode (async_checkpoint=False) to the same
-    result."""
-    from collections import Counter
+def test_windowed_chunk_submit_matches_oracle(ray_session, corpus,
+                                              monkeypatch):
+    """A wave keeps at most 4 x cluster-CPU chunk tasks unfinished. At
+    one URL per chunk and up to six pages per host per wave, waves
+    split into more chunks than that window, so submission waits on
+    finished chunks mid-wave; order, seen set and image set must still
+    equal the oracle at the same settings. Simulated fetch latency
+    keeps tasks running long enough for the window to fill. Also pins
+    sync-checkpoint mode (async_checkpoint=False)."""
+    import glob
+    import os
 
-    from playwrightcrawler_ray.pipelines.crawl import load_unified, run_crawl
+    import ray as _ray
 
-    cfg_fast, res_fast = engine_result  # default: task path + async ckpt
-    cfg_ds = CrawlConfig(output_dir="/tmp/pwc_golden_dspath", max_waves=100,
-                         small_wave_task_path_max=0, async_checkpoint=False)
-    shutil.rmtree(cfg_ds.output_dir, ignore_errors=True)
-    res_ds = run_crawl(corpus, cfg_ds, collect_seen_ids=True)
-    assert res_ds.order == res_fast.order == oracle.order
-    assert res_ds.seen_ids() == res_fast.seen_ids()
+    from playwrightcrawler_ray.pipelines import crawl as crawl_mod
 
-    cols = ["wave", "ord", "kind", "url", "source", "pixel_sha1", "caption"]
-    a = load_unified(cfg_fast.output_dir, columns=cols).to_pandas()
-    b = load_unified(cfg_ds.output_dir, columns=cols).to_pandas()
-    key = lambda df: Counter(map(tuple, df[cols].fillna("").to_numpy()))
-    assert key(a) == key(b)
-    shutil.rmtree(cfg_ds.output_dir, ignore_errors=True)
+    task = crawl_mod._wave_chunk_task
+    refs: list = []
+    peak = [0]
+
+    class CountingTask:
+        @staticmethod
+        def remote(*args):
+            refs.append(task.remote(*args))
+            ready, _ = _ray.wait(refs, num_returns=len(refs), timeout=0)
+            peak[0] = max(peak[0], len(refs) - len(ready))
+            return refs[-1]
+
+    monkeypatch.setattr(crawl_mod, "_wave_chunk_task", CountingTask)
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_window", max_waves=100,
+                      per_host_per_wave=6, wave_batch_size=1,
+                      simulate_latency=True, async_checkpoint=False)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    ora = run_oracle(corpus, cfg)
+    res = crawl_mod.run_crawl(corpus, cfg, collect_seen_ids=True)
+    window = 4 * int(_ray.cluster_resources()["CPU"])
+    chunks = max(len(glob.glob(os.path.join(d, "part-*.parquet")))
+                 for d in glob.glob(os.path.join(cfg.output_dir, "wave=*")))
+    assert chunks > window, (chunks, window)
+    assert peak[0] == window, (peak[0], window)
+    assert res.order == ora.order
+    assert res.seen_ids() == ora.seen_ids
+    imgs = crawl_mod.load_images(cfg.output_dir).to_pandas()
+    assert (set(zip(imgs["image_id"], imgs["phash"]))
+            == set((v["image_id"], v["phash"]) for v in ora.images.values()))
+    assert len(imgs) == len(ora.images)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)

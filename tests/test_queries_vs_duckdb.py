@@ -29,6 +29,23 @@ def _duck(sql: str) -> pd.DataFrame:
     return con.sql(sql).df()
 
 
+def _dtype_kind(s: pd.Series) -> str:
+    """The dtype family a column must share with its oracle twin:
+    float width may differ (float32 vs float64), the kind may not."""
+    t = s.dtype
+    if pd.api.types.is_bool_dtype(t):
+        return "bool"
+    if pd.api.types.is_integer_dtype(t):
+        return "integer"
+    if pd.api.types.is_float_dtype(t):
+        return "float"
+    if pd.api.types.is_datetime64_any_dtype(t):
+        return "datetime"
+    if pd.api.types.is_string_dtype(t) or pd.api.types.is_object_dtype(t):
+        return "string/object"
+    return str(t)
+
+
 def _normalize(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     for c in df.columns:
@@ -104,6 +121,10 @@ def test_query_matches_oracle(entrymod, name):
     if not isinstance(got, pd.DataFrame):
         got = got.to_pandas()
     want = _duck(sqls[name])
+    kinds = {c: (_dtype_kind(got[c]), _dtype_kind(want[c]))
+             for c in got.columns if c in want.columns}
+    assert all(a == b for a, b in kinds.values()), {
+        c: k for c, k in kinds.items() if k[0] != k[1]}
     g, w = _normalize(got), _normalize(want)
     assert list(g.columns) == list(w.columns), (g.columns, w.columns)
     assert len(g) == len(w), (len(g), len(w))
@@ -768,6 +789,22 @@ def test_pii_scrub_planted_edge_cases(ray_session, tmp_path):
     # consumes it, ip count stays 0
     assert by_id.loc[4, "n_email"] == 1 and by_id.loc[4, "n_ipv4"] == 0
     assert (by_id.loc[5, ["n_email", "n_ipv4", "n_phone"]] == 0).all()
+
+
+def test_words_edit_pairs_rejects_max_dist_above_2(ray_session, tmp_path):
+    """The verify DP decides distances <= 2 only; a wider band must
+    raise instead of silently dropping the pairs it cannot verify
+    (here kitten/sitting, distance 3)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from playwrightcrawler_ray.ops.textstats import q_words_edit_pairs
+
+    pq.write_table(pa.table({"doc_id": pa.array([1], pa.int64()),
+                             "text": ["kitten kittens sitting"]}),
+                   str(tmp_path / "documents.parquet"))
+    with pytest.raises(ValueError, match="max_dist"):
+        q_words_edit_pairs(str(tmp_path), max_dist=3)
 
 
 def test_words_edit_pairs_planted_and_dp_fuzz(ray_session, tmp_path):
