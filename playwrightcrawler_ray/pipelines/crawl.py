@@ -5,7 +5,9 @@ Replaces the reference's process loop (`main`/`crawler`,
 playwrightcrawler.py:5345-5414): instead of N lock-coordinated OS
 processes polling Elasticsearch, one logical job alternates
 
-    pop wave from sharded frontier actors
+    step the sharded frontier actors: each pops, keeps back what the
+      wave's strategy plan cannot select, returns the rest
+    → strategy on the merged rows, push back what it did not select
     → chunk tasks: fetch → parse(+offer links) → imgfetch → decode(+dedup)
       → one parquet file per chunk under partition ``wave=K``
     → checkpoint frontier + dedup shards
@@ -16,14 +18,20 @@ CPUs`` in flight; each runs the fused chain of pyarrow batch functions
 Determinism: shard pops are deterministic, the driver merge-sorts
 candidates by ``(wave, url)``, and strategy sampling is seeded — so
 crawl *ordering* is reproducible and verified against the sequential
-oracle (tests/test_crawl_golden.py).
+oracle (tests/test_crawl_golden.py). The seeded rng fixes the wave's
+strategy before any candidate is seen, so the shards can drop what it
+cannot select (``strategy_plan``) and the strategy still selects
+exactly what it would from the whole merged pop.
 
 Scale notes (100 TB / 10^10 URLs):
 - frontier shards scale horizontally (``hash(host) % num_shards``); a
-  wave pop is one small RPC per shard. Unless pinned, the frontier and
-  dedup fleets hold one shard per ``CPUS_PER_SHARD`` cluster CPUs —
-  on a small box the actors idle and the per-wave RPC fan-out is
-  pure overhead;
+  wave is one ``step`` RPC per shard, which ships only the rows the
+  strategy may select (none in a ghost or unmatched ``host_prefix``
+  wave, a shard's top ``wave_size`` for ``oldest``), plus a push-back
+  RPC when the strategy leaves some of those. Unless pinned, the
+  frontier and dedup fleets hold one shard per ``CPUS_PER_SHARD``
+  cluster CPUs — on a small box the actors idle and the per-wave RPC
+  fan-out is pure overhead;
 - the corpus broadcast becomes a real HTTP fetch pool (same stage
   signature);
 - parquet output is partitioned per wave (resume skips completed
@@ -60,10 +68,11 @@ from ..stages.ray_stages import (
     make_fetch_fn,
     make_imgfetch_fn,
     make_parse_fn,
+    stage_chain,
 )
 from ..urlkit.canonicalize import canonicalize_url
 from ..urlkit.ids import url_id_64
-from .strategy import apply_strategy, choose_strategy, wave_rng
+from .strategy import apply_strategy, choose_strategy, strategy_plan, wave_rng
 
 # cluster CPUs per frontier shard and per dedup shard when the config
 # leaves the counts at 0 (derive)
@@ -71,16 +80,18 @@ CPUS_PER_SHARD = 16
 
 
 @ray.remote
-def _wave_chunk_task(fns_ref, tbl: pa.Table, path: str) -> int:
+def _wave_chunk_task(fns_box: list, tbl: pa.Table, path: str) -> int:
     """One wave chunk through the fused stage chain (fetch → parse →
     imgfetch → decode), written as one parquet file, so no output
-    crosses the object store. ``fns_ref`` is an ObjectRef argument (one
-    ``ray.put`` per stage-chain build); Ray resolves it per task from
-    the local object store. A retry rewrites the same file, and dedup
-    re-claims are keyed, so the task is idempotent."""
+    crosses the object store. ``fns_box`` is ``[ref]`` of the stage
+    chain (one ``ray.put`` per build): nested, so Ray passes the ref
+    instead of resolving and unpickling it for every task, and the
+    worker process takes the closures from its own cache. A retry
+    rewrites the same file, and dedup re-claims are keyed, so the task
+    is idempotent."""
     import pyarrow.parquet as pq
 
-    fetch_fn, parse_fn, imgfetch_fn, decode_fn = fns_ref
+    fetch_fn, parse_fn, imgfetch_fn, decode_fn = stage_chain(fns_box[0])
     out = decode_fn(imgfetch_fn(parse_fn(fetch_fn(tbl))))
     pq.write_table(out, path)
     return out.num_rows
@@ -251,12 +262,22 @@ class CrawlEngine:
             ).append(it)
         ray.get([self.shards[s].offer.remote(v) for s, v in by_shard.items()])
 
-    def _pop_merged(self, wave: int) -> list[tuple[int, str, str]]:
-        parts = ray.get(
-            [s.pop_candidates.remote(wave, self.cfg.per_host_per_wave)
-             for s in self.shards]
-        )
-        return sorted(chain.from_iterable(parts))
+    def _pop_merged(
+        self, wave: int
+    ) -> tuple[list[tuple[int, str, str]], int | None]:
+        """One ``step`` RPC per shard: every shard pops, keeps back what
+        the wave's strategy plan cannot select, and returns the rest.
+        Returns the merged selectable candidates and, when no shard
+        popped anything, the fleet's queue size (else None)."""
+        cfg = self.cfg
+        plan = strategy_plan(wave_rng(cfg.seed, wave), cfg.method_weights,
+                             cfg.wave_size, cfg.reproduce_reference_bugs)
+        parts = ray.get([s.step.remote(wave, cfg.per_host_per_wave, plan)
+                         for s in self.shards])
+        candidates = sorted(chain.from_iterable(p[0] for p in parts))
+        if any(p[1] for p in parts):
+            return candidates, None
+        return candidates, sum(p[2] for p in parts)
 
     def _push_back(self, leftover: list[tuple[int, str, str]]) -> None:
         if not leftover:
@@ -268,17 +289,14 @@ class CrawlEngine:
             ).append(cand)
         ray.get([self.shards[s].push_back.remote(v) for s, v in by_shard.items()])
 
-    def _queued(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
-
     # --- checkpointing (per-partition: one blob per shard per wave) ---
 
     def _checkpoint(self, wave: int, wave_log: list[dict]) -> None:
         """Per-wave checkpoint. The actor-state snapshot RPCs are issued
         HERE, at the barrier — each shard serializes its state before it
-        processes the driver's next ``pop_candidates`` (same-caller actor
-        message order), and wave K+1's worker-side offers can only start
-        after every pop returns, so the snapshot is exactly the wave-K
+        processes the driver's next ``step`` (same-caller actor message
+        order), and wave K+1's worker-side offers can only start after
+        every step returns, so the snapshot is exactly the wave-K
         barrier state regardless of publication timing. With
         ``cfg.async_checkpoint`` only the blob await + file writes move
         to a background thread (at most one in flight; joined before the
@@ -484,22 +502,18 @@ class CrawlEngine:
         inflight: list = []  # submitted, unfinished chunk refs (for cancel)
         while wave < limit:
             try:
-                candidates = self._pop_merged(wave)
-                if not candidates:
-                    if self._queued() == 0:
-                        break
-                    wave += 1
-                    empty_streak += 1
-                    if empty_streak > 64:
-                        break
-                    continue
-                rng = wave_rng(cfg.seed, wave)
-                strategy = choose_strategy(rng, cfg.method_weights)
-                selected, leftover = apply_strategy(
-                    strategy, candidates, cfg.wave_size, rng,
-                    cfg.reproduce_reference_bugs,
-                )
-                self._push_back(leftover)
+                candidates, queued = self._pop_merged(wave)
+                if queued == 0:
+                    break
+                selected = []
+                if queued is None:  # some shard popped: run the strategy
+                    rng = wave_rng(cfg.seed, wave)
+                    strategy = choose_strategy(rng, cfg.method_weights)
+                    selected, leftover = apply_strategy(
+                        strategy, candidates, cfg.wave_size, rng,
+                        cfg.reproduce_reference_bugs,
+                    )
+                    self._push_back(leftover)
                 if not selected:
                     wave += 1
                     empty_streak += 1
@@ -538,7 +552,7 @@ class CrawlEngine:
                         done, inflight = ray.wait(inflight, num_returns=1)
                         ray.get(done)  # surface a failed chunk now
                     inflight.append(_wave_chunk_task.remote(
-                        fns_ref, tbl.slice(start, bs),
+                        [fns_ref], tbl.slice(start, bs),
                         os.path.join(wave_dir, f"part-{i:05d}.parquet"),
                     ))
                 ray.get(inflight)

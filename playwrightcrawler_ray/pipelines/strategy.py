@@ -18,12 +18,14 @@ its METHOD_WEIGHTS (config.py:154-159):
   ``reproduce_reference_bugs`` we reproduce that effective behavior;
   otherwise it degrades to ``oldest``.
 
-All candidates are ``(wave_discovered, url, host)`` triples, already
-merged across frontier shards and sorted ascending.
+All candidates are ``(wave_discovered, url, host)`` triples, sorted
+ascending. The engine merges them across frontier shards after each
+shard has dropped what the wave's ``strategy_plan`` cannot select.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 _PREFIX_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -40,6 +42,54 @@ def wave_rng(seed: int, wave: int) -> random.Random:
 def choose_strategy(rng: random.Random, weights: dict[str, int]) -> str:
     names = list(weights.keys())
     return rng.choices(names, weights=[weights[n] for n in names], k=1)[0]
+
+
+def strategy_plan(
+    rng: random.Random,
+    weights: dict[str, int],
+    size: int,
+    reproduce_reference_bugs: bool = True,
+) -> tuple[str, object]:
+    """What a frontier shard may keep of its pop for this wave
+    (``FrontierShard.step``), drawn from a COPY of ``rng`` — the caller
+    then runs ``apply_strategy`` on the kept rows with ``rng`` in the
+    same state. The strategy and the prefix character come from the rng
+    before any candidate is seen, so the plan only drops rows the
+    strategy cannot select:
+
+    - ``("top", k)``: the shard's ``k`` smallest rows (``oldest``; the
+      ghost keeps 0);
+    - ``("prefix", c)``: rows whose host starts with ``c``;
+    - ``("all", None)``: every row (``random`` shuffles the whole pool).
+    """
+    rng = copy.copy(rng)
+    strategy = choose_strategy(rng, weights)
+    if strategy == "fewest_urls":
+        if reproduce_reference_bugs:
+            return ("top", 0)
+        strategy = "oldest"
+    if strategy == "oldest":
+        return ("top", size)
+    if strategy == "host_prefix":
+        return ("prefix", rng.choice(_PREFIX_ALPHABET))
+    return ("all", None)
+
+
+def split_by_plan(
+    plan: tuple[str, object], cands: list[Candidate]
+) -> tuple[list[Candidate], list[Candidate]]:
+    """(selectable, rest) of one frontier shard's pop under a wave
+    plan from ``strategy_plan``. ``("top", k)`` keeps the ``k``
+    smallest rows, so the merge of every shard's top ``k`` holds the
+    global top ``k``."""
+    kind, arg = plan
+    if kind == "top":
+        cands = sorted(cands)
+        return cands[:arg], cands[arg:]
+    if kind == "prefix":
+        return ([c for c in cands if c[2].startswith(arg)],
+                [c for c in cands if not c[2].startswith(arg)])
+    return cands, []
 
 
 def apply_strategy(

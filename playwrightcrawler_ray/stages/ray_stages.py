@@ -35,15 +35,29 @@ from .process import ProcessContext, process_fetched, process_image_payload
 
 TRANSIT_SCHEMA = UNIFIED_SCHEMA.append(pa.field("body", pa.binary()))
 
-_OBJ_CACHE: dict[str, object] = {}
-_CTX_CACHE: dict[str, ProcessContext] = {}
+# per-process caches, LRU-capped: worker processes outlive a crawl, and
+# an entry pins what it holds (the corpus index in the object store,
+# stage closures with shard actor handles) until it is evicted
+_OBJ_CACHE: OrderedDict = OrderedDict()
+_OBJ_CACHE_CAP = 8
+_CTX_CACHE: OrderedDict = OrderedDict()
+_CTX_CACHE_CAP = 4
+_MISS = object()
+
+
+def _memo(cache: OrderedDict, cap: int, key, make):
+    hit = cache.get(key, _MISS)
+    if hit is _MISS:
+        hit = cache[key] = make()
+        if len(cache) > cap:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return hit
 
 
 def _cached_get(ref):
-    key = ref.hex()
-    if key not in _OBJ_CACHE:
-        _OBJ_CACHE[key] = ray.get(ref)
-    return _OBJ_CACHE[key]
+    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP, ref.hex(), lambda: ray.get(ref))
 
 
 def _wait_holding_cpu(refs, poll_s: float = 0.001):
@@ -66,13 +80,21 @@ def _wait_holding_cpu(refs, poll_s: float = 0.001):
     return ray.get(refs)
 
 
+def stage_chain(ref):
+    """The wave's stage closures behind ``ref``, unpickled once per
+    worker process rather than per chunk task. Keyed by the ref: a
+    rebuild after actor-loss recovery is a new ref, so closures holding
+    handles to a dead fleet are never reused. A miss holds the task's
+    CPU slot while it waits (``_wait_holding_cpu``)."""
+    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP, "stages:" + ref.hex(),
+                 lambda: _wait_holding_cpu([ref])[0])
+
+
 def _corpus_reader(ref):
     from ..corpus.store import CorpusIndexReader
 
-    key = "corpus:" + ref.hex()
-    if key not in _OBJ_CACHE:
-        _OBJ_CACHE[key] = CorpusIndexReader(ref)
-    return _OBJ_CACHE[key]
+    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP, "corpus:" + ref.hex(),
+                 lambda: CorpusIndexReader(ref))
 
 
 def _http_client(addr: str, retries: int, backoff_base_s: float,
@@ -82,20 +104,18 @@ def _http_client(addr: str, retries: int, backoff_base_s: float,
     interface as the broadcast corpus reader."""
     from ..corpus.httpserve import HttpFetchClient
 
-    key = f"http:{addr}:{retries}:{backoff_base_s}:{range_resume}"
-    if key not in _OBJ_CACHE:
-        _OBJ_CACHE[key] = HttpFetchClient(
-            addr, retries=retries, backoff_base_s=backoff_base_s,
-            range_resume=range_resume,
-        )
-    return _OBJ_CACHE[key]
+    return _memo(
+        _OBJ_CACHE, _OBJ_CACHE_CAP,
+        f"http:{addr}:{retries}:{backoff_base_s}:{range_resume}",
+        lambda: HttpFetchClient(addr, retries=retries,
+                                backoff_base_s=backoff_base_s,
+                                range_resume=range_resume),
+    )
 
 
 def _ctx_for(cfg: CrawlConfig) -> ProcessContext:
-    key = repr(cfg)
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = ProcessContext(cfg)
-    return _CTX_CACHE[key]
+    return _memo(_CTX_CACHE, _CTX_CACHE_CAP, repr(cfg),
+                 lambda: ProcessContext(cfg))
 
 
 # per-process external-script source cache: (job namespace, abs url)
@@ -105,7 +125,6 @@ def _ctx_for(cfg: CrawlConfig) -> ProcessContext:
 # cached (transient); sources are small text; LRU-capped.
 _SCRIPT_MEMO: OrderedDict = OrderedDict()
 _SCRIPT_MEMO_CAP = 4096
-_SCRIPT_MISS = object()
 
 
 def _script_fetcher(corpus_ref, http_addr: str | None, retries: int,
@@ -137,8 +156,8 @@ def _script_fetcher(corpus_ref, http_addr: str | None, retries: int,
 
     def fetch(abs_url: str):
         key = (ns, abs_url)
-        hit = _SCRIPT_MEMO.get(key, _SCRIPT_MISS)
-        if hit is not _SCRIPT_MISS:
+        hit = _SCRIPT_MEMO.get(key, _MISS)
+        if hit is not _MISS:
             _SCRIPT_MEMO.move_to_end(key)
             return hit
         src = base(abs_url)

@@ -30,6 +30,7 @@ import heapq
 import pickle
 from collections import defaultdict
 
+from ..pipelines.strategy import split_by_plan
 from .approxset import make_seen_set, restore_seen_set
 from .robots import RobotsRules
 
@@ -210,6 +211,19 @@ class FrontierShard:
             heapq.heappush(self.heaps[host], (int(w), url))
             self._maybe_spill(host)
         self.counters["pushed_back"] += len(items)
+
+    def step(self, wave: int, per_host: int, plan: tuple[str, object]
+             ) -> tuple[list[tuple[int, str, str]], int, int | None]:
+        """One wave's frontier round trip: pop exactly as
+        ``pop_candidates`` (cooldowns and counters included, even when
+        the plan selects nothing), push back locally what ``plan``
+        cannot select, and return ``(selectable, popped, queued)``.
+        ``queued`` is the queue size when nothing was popped (the
+        driver's stop rule), else None."""
+        popped = self.pop_candidates(wave, per_host)
+        keep, rest = split_by_plan(plan, popped)
+        self.push_back(rest)
+        return keep, len(popped), None if popped else self.size()
 
     # --- introspection / checkpoint ---
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from playwrightcrawler_ray.pipelines.strategy import (
     apply_strategy,
     choose_strategy,
+    strategy_plan,
     wave_rng,
 )
 from playwrightcrawler_ray.state.frontier import FrontierShard, shard_of
@@ -107,3 +108,96 @@ def test_pop_order_invariant_under_shard_count(items):
         return out
 
     assert run(1) == run(3) == run(8)
+
+
+# varied first characters, so host_prefix plans both match and miss
+PLAN_HOSTS = ["a1.test", "apple.test", "b.test", "host00.test",
+              "host01.test", "h.test", "0x.test", "9z.test", "zeta.test",
+              "m.test", "mm.test", "q7.test"]
+DELAY_HOSTS = {"apple.test", "host01.test", "9z.test"}
+STRATEGIES = ["fewest_urls", "oldest", "host_prefix", "random"]
+
+
+def _plan_fleet(cands, n_shards):
+    shards = [FrontierShard(i) for i in range(n_shards)]
+    for s in shards:
+        s.set_robots([(h, "User-agent: *\nCrawl-delay: 2\n")
+                      for h in DELAY_HOSTS])
+    for w, url, host in cands:
+        shards[shard_of(host, n_shards)].offer(
+            [(url, url_id_64(url), host, urlsplit(url).path, w)])
+    return shards
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(
+        st.tuples(st.sampled_from(PLAN_HOSTS),
+                  st.integers(min_value=0, max_value=40),
+                  st.integers(min_value=0, max_value=5)),
+        min_size=1, max_size=40, unique_by=lambda t: (t[0], t[1]),
+    ),
+    n_shards=st.sampled_from([1, 3, 8]),
+    weights=st.dictionaries(st.sampled_from(STRATEGIES),
+                            st.integers(min_value=1, max_value=10),
+                            min_size=1),
+    bugs=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    data=st.data(),
+)
+def test_plan_split_selects_what_the_full_pool_selects(
+        items, n_shards, weights, bugs, seed, data):
+    """Each shard's ``step`` drops only rows the wave's strategy cannot
+    select: the strategy on the merged selectable rows selects exactly
+    what it selects on the whole merged pop, the shard-local rests plus
+    the driver's leftover are the whole leftover, and every wave —
+    ghost included — pops and sets crawl-delay cooldowns."""
+    cands = sorted((w, f"https://{h}/p{n}", h) for h, n, w in items)
+    size = data.draw(st.integers(min_value=1, max_value=len(cands)))
+    wave = 7
+    shards = _plan_fleet(cands, n_shards)
+
+    rng = wave_rng(seed, wave)
+    plan = strategy_plan(rng, weights, size, bugs)
+    parts = [s.step(wave, len(cands), plan) for s in shards]
+    merged = sorted(c for keep, _, _ in parts for c in keep)
+    selected, leftover = apply_strategy(
+        choose_strategy(rng, weights), merged, size, rng, bugs)
+
+    ref_rng = wave_rng(seed, wave)
+    ref_sel, ref_left = apply_strategy(
+        choose_strategy(ref_rng, weights), cands, size, ref_rng, bugs)
+    assert selected == ref_sel
+    rests = [(w, u, h) for s in shards for h, q in s.heaps.items()
+             for w, u in q]
+    assert sorted(rests + leftover) == sorted(ref_left)
+    assert sum(popped for _, popped, _ in parts) == len(cands)
+    assert all(queued is None for _, popped, queued in parts if popped)
+    for s in shards:
+        assert s.counters["popped"] == sum(
+            1 for _, _, h in cands if shard_of(h, n_shards) == s.shard_id)
+        assert s.counters["pushed_back"] == s.size()
+    for h in DELAY_HOSTS & {h for _, _, h in cands}:
+        shard = shards[shard_of(h, n_shards)]
+        assert shard.host_cooldown_until[h] == wave + 3
+
+
+def test_ghost_step_pops_nothing_out_but_cools_hosts():
+    """A ghost wave ships no row, yet pops (and so cools crawl-delay
+    hosts) exactly like any other wave; a shard that pops nothing
+    reports its queue size for the driver's stop rule."""
+    cands = [(0, "https://apple.test/1", "apple.test"),
+             (0, "https://b.test/1", "b.test"),
+             (1, "https://apple.test/2", "apple.test")]
+    (shard,) = _plan_fleet(cands, 1)
+    assert shard.step(4, 1, ("top", 0)) == ([], 2, None)
+    assert shard.host_cooldown_until == {"apple.test": 7}
+    assert shard.counters["popped"] == shard.counters["pushed_back"] == 2
+    assert shard.size() == 3
+    # b.test popped again, apple.test still cooling down
+    assert shard.step(5, 1, ("top", 0)) == ([], 1, None)
+    (cooling,) = _plan_fleet(cands[2:], 1)
+    assert cooling.step(0, 1, ("all", None)) == ([cands[2]], 1, None)
+    cooling.push_back([cands[2]])
+    assert cooling.step(1, 1, ("all", None)) == ([], 0, 1)
+    assert FrontierShard(1).step(5, 1, ("all", None)) == ([], 0, 0)
