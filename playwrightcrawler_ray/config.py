@@ -92,9 +92,11 @@ class CrawlConfig:
     respect_robots: bool = True      # capability add (absent in reference, T7)
     checkpoint_every: int = 1        # waves between checkpoints (bench: raise)
     checkpoint_retain: int = 3       # keep the last K checkpoints (0 = all)
-    # bench realism: sleep the corpus' per-host latency_ms in the fetch
-    # stages (a batch behaves like an async client — max of the batch).
-    # Makes crawl throughput concurrency-bound, like a real crawl.
+    # bench realism: the corpus fetch client sleeps the corpus'
+    # per-host latency_ms on every lookup (a batch behaves like an async
+    # client — max of the batch). Makes crawl throughput
+    # concurrency-bound, like a real crawl. The HTTP backend's latency
+    # is the server's.
     simulate_latency: bool = False
 
     # --- Ray execution knobs (new) ---
@@ -133,9 +135,12 @@ class CrawlConfig:
     # index (hermetic, deterministic); "http" fetches over a REAL
     # socket from `http_addr` (host:port of a corpus/httpserve.py
     # loopback vhost server in-sandbox; the open web on a deployment).
-    # Retries, backoff and Range-resume run in the real client either
-    # way — the golden test asserts both backends produce byte-identical
-    # crawl tables on the same corpus.
+    # Either way one fetch client per worker owns retries, backoff and
+    # Range-resume (corpus/store.py::CorpusFetchClient or
+    # corpus/httpserve.py::HttpFetchClient) — the golden test asserts
+    # both backends produce byte-identical crawl tables on the same
+    # corpus. Any other value, or "http" without an address, is
+    # rejected when the engine starts.
     fetch_backend: str = "corpus"
     http_addr: str = ""
     # URLs per wave chunk task, at most (small waves use smaller

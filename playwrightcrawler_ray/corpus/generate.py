@@ -47,7 +47,7 @@ class CorpusData:
     # failures before success (reference downloader backoff, S10)
     flaky: dict[str, int] = field(default_factory=dict)
     # url → max bytes served per request: the server truncates every
-    # response, forcing the fetch stage's HTTP Range-resume loop
+    # response, forcing the fetch client's HTTP Range-resume loop
     # (reference downloader.py:212-302) to reassemble the payload
     partial: dict[str, int] = field(default_factory=dict)
     # ground truth for test assertions (not visible to the engine):

@@ -7,9 +7,16 @@ cluster size. This store keeps the corpus as numpy + Arrow buffers
 URL) plus parallel Arrow arrays; lookup is a vectorized searchsorted
 per batch. The same layout is what a real deployment would use for any
 broadcast lookup side (extension maps, blocklists, seen snapshots).
+
+``CorpusFetchClient`` is the corpus fetch backend: the same constructor
+policy and ``lookup`` contract as ``corpus.httpserve.HttpFetchClient``,
+so the crawl stages call one client whichever backend serves the bytes.
 """
 
 from __future__ import annotations
+
+import time
+from urllib.parse import urlsplit
 
 import numpy as np
 import pyarrow as pa
@@ -17,10 +24,16 @@ import pyarrow as pa
 import ray
 
 from ..urlkit.ids import url_id_64
+from .generate import CorpusData
 
 
-def put_corpus_index(pages: dict[str, dict]):
-    """Build + put the zero-copy index. Returns an ObjectRef."""
+def put_corpus_index(corpus: CorpusData, latency: bool = False):
+    """Build + put the zero-copy index. Returns an ObjectRef.
+
+    The corpus's failure injection (``flaky``, ``partial``, and
+    ``latency_ms`` when ``latency``) rides in the same object, so a
+    client built from the ref injects exactly this corpus's faults."""
+    pages = corpus.pages
     urls = list(pages.keys())
     keys = np.fromiter((url_id_64(u) for u in urls), dtype=np.uint64, count=len(urls))
     order = np.argsort(keys, kind="stable")
@@ -40,14 +53,18 @@ def put_corpus_index(pages: dict[str, dict]):
         }
     )
     status = np.array([r["status"] for r in recs], dtype=np.int32)
-    return ray.put((keys, status, tbl))
+    faults = (dict(corpus.flaky), dict(corpus.partial),
+              dict(corpus.latency_ms) if latency else {})
+    return ray.put((keys, status, tbl, faults))
 
 
 class CorpusIndexReader:
-    """Per-worker view over the broadcast index (zero-copy ray.get)."""
+    """Per-worker view over the broadcast index (zero-copy ray.get).
+    ``faults`` is the ``(flaky, partial, latency_ms)`` triple the index
+    was put with."""
 
     def __init__(self, ref):
-        self.keys, self.status, self.tbl = ray.get(ref)
+        self.keys, self.status, self.tbl, self.faults = ray.get(ref)
         self._urls = self.tbl.column("url")
 
     def lookup(self, urls: list[str]):
@@ -77,3 +94,47 @@ class CorpusIndexReader:
                 out_body.append(b"")
                 out_redir.append("")
         return out_status, out_ct, out_body, out_redir
+
+
+class CorpusFetchClient(CorpusIndexReader):
+    """Fetch client over the broadcast index with ``HttpFetchClient``'s
+    policy and ``lookup`` contract. Injects the corpus's faults the way
+    the loopback server (corpus/httpserve.py) does:
+
+    - ``latency_ms[host]``: a batch sleeps its slowest host's latency
+      once (an async client issues the batch concurrently);
+    - ``flaky[url] = n``: n failed attempts, each but the last allowed
+      one followed by an exponential backoff sleep (reference
+      downloader.py:262-302); ``n >= retries`` exhausts to
+      ``(599, "", b"", "")``;
+    - ``partial[url] = c``: every response is cut at ``c`` bytes; with
+      ``range_resume`` the ranged re-requests reassemble the whole
+      body, without it the first ``c`` bytes are kept.
+
+    Faults count per lookup, where the server counts attempts per URL
+    over its lifetime; a crawl fetches each URL once, so both backends
+    return the same bytes."""
+
+    def __init__(self, ref, retries: int = 3, backoff_base_s: float = 0.01,
+                 range_resume: bool = True):
+        super().__init__(ref)
+        self.flaky, self.partial, self.latency_ms = self.faults
+        self.retries = retries
+        self.backoff_base_s = backoff_base_s
+        self.range_resume = range_resume
+
+    def lookup(self, urls: list[str]):
+        status, ctype, body, redirect = super().lookup(urls)
+        if self.latency_ms and urls:
+            time.sleep(max(self.latency_ms.get(urlsplit(u).hostname, 0)
+                           for u in urls) / 1000.0)
+        for i, u in enumerate(urls):
+            failures = self.flaky.get(u, 0)
+            for k in range(min(failures, self.retries - 1)):
+                time.sleep(self.backoff_base_s * 2 ** k)
+            cut = self.partial.get(u)
+            if failures >= self.retries:
+                status[i], ctype[i], body[i], redirect[i] = 599, "", b"", ""
+            elif cut and not self.range_resume:
+                body[i] = body[i][:cut]
+        return status, ctype, body, redirect

@@ -263,18 +263,32 @@ FROM events GROUP BY user_id, date_trunc('hour', ts)
 """
 
 
+# rows one per-user map_groups group may hold: the bucket count grows
+# with the table, so a group fits one worker at any scale. Buckets aim
+# at half of it, headroom for the user_id % n spread.
+ROWS_PER_GROUP = 1 << 17
+MIN_BUCKETS = 32  # parallelism floor for small tables
+
+
+def _user_groups(ds: ray.data.Dataset):
+    """``ds`` grouped by ``bucket = user_id % n``: every user's rows in
+    one group, n = max(MIN_BUCKETS, ceil(2 * rows / ROWS_PER_GROUP))."""
+    n_buckets = max(MIN_BUCKETS, -(-2 * ds.count() // ROWS_PER_GROUP))
+
+    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.copy()
+        df["bucket"] = df["user_id"] % n_buckets
+        return df
+
+    return ds.map_batches(add_bucket, batch_format="pandas").groupby("bucket")
+
+
 def q_user_sessions(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
     """Sessionization: per-user sort + gap detection inside map_groups
     — incremental state never leaves the group (SURVEY.md §2.9
     streaming mapping)."""
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 32
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = df["user_id"] % n_buckets
-        return df
 
     def sessions_of_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized over the whole bucket: sort by (user, ts, event)
@@ -289,8 +303,7 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
         return out
 
     return (
-        ev.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
+        _user_groups(ev)
         .map_groups(sessions_of_bucket, batch_format="pandas")
         .to_pandas()
     )
@@ -396,12 +409,6 @@ def q_events_rolling(sf_dir: str) -> pd.DataFrame:
     so no global sort. Integer measures (`event_id % 1000`, microsecond
     gaps) keep the Ray↔DuckDB value hash float-free."""
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    n_buckets = 32
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = df["user_id"] % n_buckets
-        return df
 
     def roll_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -430,8 +437,7 @@ def q_events_rolling(sf_dir: str) -> pd.DataFrame:
         })
 
     return (
-        ev.map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
+        _user_groups(ev)
         .map_groups(roll_bucket, batch_format="pandas")
         .to_pandas()
     )

@@ -1,2 +1,3 @@
-"""Crawl pipelines: the Ray Data wave driver and the sequential
-reference-semantics oracle it is verified against."""
+"""Crawl pipelines: the wave driver (plain Ray tasks over sharded
+frontier and dedup actors) and the sequential reference-semantics
+oracle it is verified against."""

@@ -32,8 +32,9 @@ Scale notes (100 TB / 10^10 URLs):
   frontier and dedup fleets hold one shard per ``CPUS_PER_SHARD``
   cluster CPUs — on a small box the actors idle and the per-wave RPC
   fan-out is pure overhead;
-- the corpus broadcast becomes a real HTTP fetch pool (same stage
-  signature);
+- the corpus fetch client gives way to the HTTP one
+  (``fetch_backend="http"``; same ``lookup`` contract, no stage
+  change);
 - parquet output is partitioned per wave (resume skips completed
   waves); Lance is the intended table format on a real deployment —
   parquet-per-wave keeps the same append/versioned layout contract;
@@ -64,6 +65,7 @@ from ..corpus.generate import CorpusData
 from ..state.dedup import DedupShard
 from ..state.frontier import FrontierShard, shard_of
 from ..stages.ray_stages import (
+    FetchBackend,
     make_decode_fn,
     make_fetch_fn,
     make_imgfetch_fn,
@@ -142,7 +144,12 @@ class CrawlEngine:
 
     def __init__(self, corpus: CorpusData, cfg: CrawlConfig | None = None,
                  seen_mode: str = "exact"):
-        self.cfg = cfg or CrawlConfig()
+        self.cfg = cfg = cfg or CrawlConfig()
+        if cfg.fetch_backend not in ("corpus", "http"):
+            raise ValueError("fetch_backend must be 'corpus' or 'http', "
+                             f"not {cfg.fetch_backend!r}")
+        if cfg.fetch_backend == "http" and not cfg.http_addr:
+            raise ValueError('fetch_backend="http" needs an http_addr')
         self.corpus = corpus
         self.seen_mode = seen_mode
         self._RemoteShard = ray.remote(num_cpus=0)(FrontierShard)
@@ -155,12 +162,12 @@ class CrawlEngine:
         self.actor_recoveries = 0
         from ..corpus.store import put_corpus_index
 
-        self.corpus_ref = put_corpus_index(corpus.pages)
-        self.latency_ref = (
-            ray.put(dict(corpus.latency_ms))
-            if self.cfg.simulate_latency and corpus.latency_ms
-            else None
-        )
+        # the corpus index is put once per engine, so a worker's fetch
+        # client (keyed by the ref) never serves another crawl's faults
+        self.backend = FetchBackend(
+            cfg.http_addr if cfg.fetch_backend == "http"
+            else put_corpus_index(corpus, latency=cfg.simulate_latency),
+            cfg.fetch_retries, cfg.fetch_backoff_base_s, cfg.range_resume)
         from ..stages.process import ProcessContext
 
         self._pctx = ProcessContext(self.cfg)
@@ -401,42 +408,10 @@ class CrawlEngine:
         """The four wave-stage closures. Rebuilt after actor-loss
         recovery — they capture frontier/dedup actor handles, and the
         recovered fleet has new ones."""
-        cfg = self.cfg
-        # real-socket backend: latency/flaky/truncation happen on the
-        # server and in the client's own retry/Range loops — the
-        # simulation refs must not double-apply
-        use_http = cfg.fetch_backend == "http" and bool(cfg.http_addr)
-        http_addr = cfg.http_addr if use_http else None
-        flaky_ref = (
-            ray.put(dict(self.corpus.flaky))
-            if self.corpus.flaky and not use_http else None
-        )
-        partial_ref = (
-            ray.put(dict(self.corpus.partial))
-            if self.corpus.partial and not use_http else None
-        )
-        fetch_fn = make_fetch_fn(
-            self.corpus_ref,
-            None if use_http else self.latency_ref, flaky_ref,
-            retries=cfg.fetch_retries, backoff_base_s=cfg.fetch_backoff_base_s,
-            partial_ref=partial_ref, range_resume=cfg.range_resume,
-            http_addr=http_addr,
-        )
-        imgfetch_fn = make_imgfetch_fn(
-            self.corpus_ref, None if use_http else self.latency_ref,
-            self.dedup, partial_ref=partial_ref,
-            range_resume=cfg.range_resume, http_addr=http_addr,
-            retries=cfg.fetch_retries,
-            backoff_base_s=cfg.fetch_backoff_base_s,
-        )
-        decode_fn = make_decode_fn(cfg, self.dedup, self.shards)
-        parse_fn = make_parse_fn(
-            cfg, corpus_ref=self.corpus_ref, http_addr=http_addr,
-            retries=cfg.fetch_retries,
-            backoff_base_s=cfg.fetch_backoff_base_s,
-            range_resume=cfg.range_resume,
-        )
-        return fetch_fn, parse_fn, imgfetch_fn, decode_fn
+        return (make_fetch_fn(self.backend),
+                make_parse_fn(self.cfg, self.backend),
+                make_imgfetch_fn(self.backend, self.dedup),
+                make_decode_fn(self.cfg, self.dedup, self.shards))
 
     def _init_run_state(self, resume: bool) -> tuple[int, list, list, int]:
         """(start_wave, wave_log, order_files, pages_fetched) — shared

@@ -106,8 +106,9 @@ class ProcessContext:
     ``script_fetch(abs_url) -> str | None`` is the external-script
     subresource resolver the render pass uses (browser semantics: a
     ``<script src=…>`` is fetched during navigation and executed in
-    document order). The engine wires a memoized corpus/HTTP-backed
-    fetcher (stages/ray_stages.py), the oracle a corpus-dict one —
+    document order). The engine wires a memoized fetcher over the
+    crawl's fetch client (stages/ray_stages.py), the oracle a
+    corpus-dict one —
     both through :func:`make_script_fetcher` so decode + URL
     canonicalization are shared. ``None`` (or
     ``cfg.execute_external_scripts`` off) skips external scripts."""

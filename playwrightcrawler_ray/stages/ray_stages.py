@@ -8,7 +8,7 @@ functions (not actor pools) built by factories that close over
 broadcast object refs and actor handles. Rationale: a crawl runs many
 short waves; per-wave actor-pool startup (~0.5 s × pool × stage ×
 wave) would dominate. Worker *processes* persist across tasks, so
-per-process state (corpus dict, compiled regex tables) lives in
+per-process state (fetch client, compiled regex tables) lives in
 module-level caches — same amortization as an actor ``__init__``,
 without pool churn. The NSFW-style scorer stage
 (stages/nsfw.py) shows the true actor-pool pattern where per-worker
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from itertools import chain
+from typing import NamedTuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -56,10 +57,6 @@ def _memo(cache: OrderedDict, cap: int, key, make):
     return hit
 
 
-def _cached_get(ref):
-    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP, ref.hex(), lambda: ray.get(ref))
-
-
 def _wait_holding_cpu(refs, poll_s: float = 0.001):
     """ray.get that does NOT release the task's CPU slot while waiting.
 
@@ -90,27 +87,43 @@ def stage_chain(ref):
                  lambda: _wait_holding_cpu([ref])[0])
 
 
-def _corpus_reader(ref):
-    from ..corpus.store import CorpusIndexReader
+class FetchBackend(NamedTuple):
+    """Where a crawl's bytes come from, plus the fetch client's policy.
+    ``source`` is the broadcast corpus index ref
+    (corpus/store.py::put_corpus_index) or the ``host:port`` of an HTTP
+    server (corpus/httpserve.py)."""
 
-    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP, "corpus:" + ref.hex(),
-                 lambda: CorpusIndexReader(ref))
+    source: object
+    retries: int
+    backoff_base_s: float
+    range_resume: bool
+
+    @property
+    def ns(self) -> str:
+        """The source's identity: the corpus ref's hex, unique per
+        engine, or the server's ``host:port``."""
+        src = self.source
+        return src if isinstance(src, str) else src.hex()
 
 
-def _http_client(addr: str, retries: int, backoff_base_s: float,
-                 range_resume: bool):
-    """Per-process cached real-socket fetch client (corpus/httpserve.py)
-    — the deployment-shaped backend behind the same ``lookup``
-    interface as the broadcast corpus reader."""
-    from ..corpus.httpserve import HttpFetchClient
+def fetch_client(backend: FetchBackend):
+    """The worker process's fetch client for ``backend``, built once:
+    ``CorpusFetchClient`` over the corpus index or ``HttpFetchClient``
+    over a real socket, behind one ``lookup(urls) -> (status,
+    content_type, body, redirect)`` contract. The client owns retries
+    with backoff and Range-resume."""
 
-    return _memo(
-        _OBJ_CACHE, _OBJ_CACHE_CAP,
-        f"http:{addr}:{retries}:{backoff_base_s}:{range_resume}",
-        lambda: HttpFetchClient(addr, retries=retries,
-                                backoff_base_s=backoff_base_s,
-                                range_resume=range_resume),
-    )
+    def make():
+        if isinstance(backend.source, str):
+            from ..corpus.httpserve import HttpFetchClient as client
+        else:
+            from ..corpus.store import CorpusFetchClient as client
+        return client(backend.source, retries=backend.retries,
+                      backoff_base_s=backend.backoff_base_s,
+                      range_resume=backend.range_resume)
+
+    return _memo(_OBJ_CACHE, _OBJ_CACHE_CAP,
+                 ("fetch", backend.ns, *backend[1:]), make)
 
 
 def _ctx_for(cfg: CrawlConfig) -> ProcessContext:
@@ -127,32 +140,24 @@ _SCRIPT_MEMO: OrderedDict = OrderedDict()
 _SCRIPT_MEMO_CAP = 4096
 
 
-def _script_fetcher(corpus_ref, http_addr: str | None, retries: int,
-                    backoff_base_s: float, range_resume: bool):
+def _script_fetcher(backend: FetchBackend):
     """Build the per-process ``script_fetch`` callback for the parse
-    stage: bytes come from the same backend the page came from (the
-    zero-copy broadcast corpus index, or the real-socket client under
-    ``fetch_backend="http"``), decode + canonicalization are shared
-    with the oracle via process.make_script_fetcher."""
+    stage: bytes come from the same fetch client as the page, decode +
+    canonicalization are shared with the oracle via
+    process.make_script_fetcher."""
     from ..stages.process import make_script_fetcher
 
     def lookup_bytes(url: str):
-        if http_addr:
-            client = _http_client(http_addr, retries, backoff_base_s,
-                                  range_resume)
-            status, _ct, body, _r = client.lookup([url])
-        else:
-            status, _ct, body, _r = _corpus_reader(corpus_ref).lookup([url])
+        status, _ct, body, _r = fetch_client(backend).lookup([url])
         return body[0] if status[0] == 200 else None
 
     base = make_script_fetcher(lookup_bytes)
-    # namespace the per-process cache by the JOB's corpus identity:
+    # namespace the per-process cache by the JOB's fetch source:
     # worker processes outlive a run_crawl call, and two crawls in one
     # Ray session may serve different bytes at the same script URL —
     # cross-job hits would execute the previous corpus's source and
-    # diverge from the oracle. The broadcast corpus ObjectRef hex is
-    # unique per job; the http backend's host:port is per-server.
-    ns = corpus_ref.hex() if corpus_ref is not None else str(http_addr)
+    # diverge from the oracle
+    ns = backend.ns
 
     def fetch(abs_url: str):
         key = (ns, abs_url)
@@ -173,86 +178,17 @@ def _script_fetcher(corpus_ref, http_addr: str | None, retries: int,
     return fetch
 
 
-def _range_resume(full: bytes, chunk: int, enabled: bool) -> bytes:
-    """Simulated ranged download (reference downloader.py:212-302): the
-    server truncates every response at ``chunk`` bytes; the client
-    re-requests with ``Range: bytes=<assembled>-`` until the payload is
-    complete. With resume disabled, only the first response survives —
-    a truncated body (what a naive client would store)."""
-    assembled = full[:chunk]
-    if not enabled:
-        return assembled
-    while len(assembled) < len(full):
-        nxt = full[len(assembled): len(assembled) + chunk]
-        if not nxt:  # server stopped serving: give up with what we have
-            break
-        assembled += nxt
-    return assembled
-
-
-def make_fetch_fn(corpus_ref, latency_ref=None, flaky_ref=None,
-                  retries: int = 3, backoff_base_s: float = 0.01,
-                  partial_ref=None, range_resume: bool = True,
-                  http_addr: str | None = None):
+def make_fetch_fn(backend: FetchBackend):
     """Wave-input batch (url, host, wave) → + status/content_type_raw/
-    body/redirect_to, resolved against the broadcast corpus.
-
-    With ``latency_ref`` set (bench realism), the batch sleeps the max
-    per-host latency once — modeling an async HTTP client that issues
-    the whole batch concurrently and completes with the slowest
-    response, which is what the real fetch actor would do.
-
-    Transient failures (``flaky_ref``: url → failure count) are retried
-    with exponential backoff ×2 up to ``retries`` attempts (reference
-    downloader semantics, downloader.py:262-302); exhausted retries
-    yield status 599 (→ a ``fetch_error_599`` doc, terminal).
-
-    With ``http_addr`` (``fetch_backend="http"``) the batch is fetched
-    over a REAL socket from the loopback vhost server
-    (corpus/httpserve.py): retries/backoff/Range-resume run in the
-    client, latency/flakiness/truncation happen server-side, and the
-    latency/flaky/partial simulation refs are ignored."""
-    import time as _time
+    body/redirect_to, fetched by the worker's client for ``backend``
+    (``fetch_client``). The client retries transient failures with
+    exponential backoff (reference downloader semantics,
+    downloader.py:262-302); exhausted retries yield status 599 (→ a
+    ``fetch_error_599`` doc, terminal)."""
 
     def fetch(batch: pa.Table) -> pa.Table:
-        if http_addr:
-            client = _http_client(http_addr, retries, backoff_base_s,
-                                  range_resume)
-            urls = batch.column("url").to_pylist()
-            status, ctype, body, redirect = client.lookup(urls)
-            return (
-                batch.append_column("status", pa.array(status, pa.int32()))
-                .append_column("content_type_raw", pa.array(ctype, pa.string()))
-                .append_column("body", pa.array(body, pa.binary()))
-                .append_column("redirect_to", pa.array(redirect, pa.string()))
-            )
-        reader = _corpus_reader(corpus_ref)
-        if latency_ref is not None:
-            lat: dict[str, int] = _cached_get(latency_ref)
-            if lat:
-                hosts = set(batch.column("host").to_pylist())
-                _time.sleep(max(lat.get(h, 0) for h in hosts) / 1000.0)
-        urls = batch.column("url").to_pylist()
-        status, ctype, body, redirect = reader.lookup(urls)
-        if flaky_ref is not None:
-            flaky: dict[str, int] = _cached_get(flaky_ref)
-            for i, u in enumerate(urls):
-                failures = flaky.get(u, 0)
-                if not failures:
-                    continue
-                attempt, backoff = 1, backoff_base_s
-                while attempt <= failures and attempt < retries:
-                    _time.sleep(backoff)
-                    backoff *= 2
-                    attempt += 1
-                if failures >= retries:  # exhausted → terminal error
-                    status[i], ctype[i], body[i], redirect[i] = 599, "", b"", ""
-        if partial_ref is not None:
-            part: dict[str, int] = _cached_get(partial_ref)
-            for i, u in enumerate(urls):
-                n = part.get(u)
-                if n and body[i]:
-                    body[i] = _range_resume(body[i], n, range_resume)
+        status, ctype, body, redirect = fetch_client(backend).lookup(
+            batch.column("url").to_pylist())
         return (
             batch.append_column("status", pa.array(status, pa.int32()))
             .append_column("content_type_raw", pa.array(ctype, pa.string()))
@@ -263,18 +199,14 @@ def make_fetch_fn(corpus_ref, latency_ref=None, flaky_ref=None,
     return fetch
 
 
-def make_parse_fn(cfg: CrawlConfig, corpus_ref=None,
-                  http_addr: str | None = None, retries: int = 3,
-                  backoff_base_s: float = 0.01,
-                  range_resume: bool = True):
+def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend):
     """Fetched batch → unified page/imgref/link rows.
 
-    With ``corpus_ref``/``http_addr`` and
-    ``cfg.execute_external_scripts``, the render pass resolves external
-    ``<script src>`` subresources through the same fetch backend as the
-    page (memoized per process — ``_SCRIPT_MEMO``) and executes them in
-    document order (reference: Playwright runs every page script,
-    playwrightcrawler.py:5174-5185).
+    With ``cfg.execute_external_scripts``, the render pass resolves
+    external ``<script src>`` subresources through the same fetch
+    client as the page (memoized per process — ``_SCRIPT_MEMO``) and
+    executes them in document order (reference: Playwright runs every
+    page script, playwrightcrawler.py:5174-5185).
 
     Discovered links are emitted IN-BAND as ``kind='link'`` rows (the
     reference persists its links index the same way,
@@ -284,14 +216,14 @@ def make_parse_fn(cfg: CrawlConfig, corpus_ref=None,
     triggers raylet worker-spawn storms (measured: 128 cold workers,
     each paying module import)."""
 
+    scripts = cfg.execute_external_scripts and cfg.render_js
+
     def parse(batch: pa.Table) -> pa.Table:
         ctx = _ctx_for(cfg)
-        if (cfg.execute_external_scripts and cfg.render_js
-                and ctx.script_fetch is None
-                and (corpus_ref is not None or http_addr)):
-            ctx.script_fetch = _script_fetcher(
-                corpus_ref, http_addr, retries, backoff_base_s,
-                range_resume)
+        if scripts:
+            # set per batch: the context is shared by every crawl with
+            # this config, the fetcher belongs to this crawl's backend
+            ctx.script_fetch = _script_fetcher(backend)
         rows_out: list[dict] = []
         link_url, link_host, link_parent, link_wave = [], [], [], []
         cols = batch.select(
@@ -380,19 +312,39 @@ def make_offer_fn(frontier_handles: list):
     return offer
 
 
-def make_imgfetch_fn(corpus_ref, latency_ref=None, dedup_handles: list | None = None,
-                     partial_ref=None, range_resume: bool = True,
-                     http_addr: str | None = None, retries: int = 3,
-                     backoff_base_s: float = 0.01):
-    """Fill missing bodies of imgref rows from the corpus (subresource
-    fetch; the reference's response-listener path, :5174-5185).
+def _claim_new(dedup_handles: list, keyed: list[tuple[int, int]],
+               ns: int) -> list[bool]:
+    """Stage ``(hash, ord)`` claims in namespace ``ns`` of the dedup
+    service: one ``stage_many_keyed`` RPC per shard (``hash % shards``),
+    awaited while holding the CPU. Returns the is-new flags aligned
+    with ``keyed``: False only for hashes claimed in a PRIOR wave."""
+    if not keyed:
+        return []
+    pos_by_shard: dict[int, list[int]] = defaultdict(list)
+    for i, (h, _ord) in enumerate(keyed):
+        pos_by_shard[h % len(dedup_handles)].append(i)
+    masks = _wait_holding_cpu(
+        [dedup_handles[s].stage_many_keyed.remote([keyed[i] for i in pos], ns)
+         for s, pos in pos_by_shard.items()]
+    )
+    new = [False] * len(keyed)
+    for pos, mask in zip(pos_by_shard.values(), masks):
+        for i, is_new in zip(pos, mask):
+            new[i] = bool(is_new)
+    return new
 
-    With ``dedup_handles``, subresource URLs already fetched in ANY
-    prior wave are dropped before fetching (namespaced entry in the
-    global dedup service). The reference re-downloads subresources per
-    page visit but its ``_id`` upsert makes revisits invisible
-    (playwrightcrawler.py:1646-1651) — skipping the refetch preserves
-    final-table semantics while removing ~90% of decode work.
+
+def make_imgfetch_fn(backend: FetchBackend, dedup_handles: list):
+    """Fill missing bodies of imgref rows through the worker's fetch
+    client (subresource fetch; the reference's response-listener path,
+    :5174-5185).
+
+    Subresource URLs already fetched in ANY prior wave are dropped
+    before fetching (namespaced entry in the global dedup service). The
+    reference re-downloads subresources per page visit but its ``_id``
+    upsert makes revisits invisible (playwrightcrawler.py:1646-1651) —
+    skipping the refetch preserves final-table semantics while removing
+    ~90% of decode work.
 
     In-wave duplicates across parallel batches are all KEPT here
     (``stage_many_keyed`` claims, prior-wave check only); the driver resolves
@@ -400,42 +352,27 @@ def make_imgfetch_fn(corpus_ref, latency_ref=None, dedup_handles: list | None = 
     so RPC arrival order never picks the surviving caption/parent_host
     (ADVICE round 1). Within one batch rows are ord-sorted, so the
     in-batch first-wins dedup already keeps the min-ord claimant."""
-    import time as _time
-
     from ..urlkit.ids import url_id_64
 
     def imgfetch(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
             return batch
-        reader = _corpus_reader(corpus_ref)
         kinds = batch.column("kind").to_pylist()
         urls = batch.column("url").to_pylist()
         bodies = batch.column("body").to_pylist()
         need = [i for i, (k, b) in enumerate(zip(kinds, bodies))
                 if k == "imgref" and b is None]
-        if need and dedup_handles is not None:
+        if need:
             ords = batch.column("ord").to_pylist()
-            n_shards = len(dedup_handles)
-            by_shard: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            pos_by_shard: dict[int, list[int]] = defaultdict(list)
-            seen_in_batch: set[str] = set()
-            keep: set[int] = set()
+            first: dict[str, int] = {}
             for i in need:
-                if urls[i] in seen_in_batch:
-                    continue
-                seen_in_batch.add(urls[i])
-                h = url_id_64("imgvisit:" + urls[i])
-                s = h % n_shards
-                by_shard[s].append((h, int(ords[i])))
-                pos_by_shard[s].append(i)
-            masks = _wait_holding_cpu(
-                [dedup_handles[s].stage_many_keyed.remote(v, 0)
-                 for s, v in by_shard.items()]
-            )
-            for (s, _), mask in zip(by_shard.items(), masks):
-                for pos, is_new in zip(pos_by_shard[s], mask):
-                    if is_new:
-                        keep.add(pos)
+                first.setdefault(urls[i], i)
+            claimants = list(first.values())
+            new = _claim_new(
+                dedup_handles,
+                [(url_id_64("imgvisit:" + urls[i]), int(ords[i]))
+                 for i in claimants], 0)
+            keep = {i for i, is_new in zip(claimants, new) if is_new}
             drop = [i for i in need if i not in keep]
             if drop:
                 import numpy as np
@@ -448,31 +385,12 @@ def make_imgfetch_fn(corpus_ref, latency_ref=None, dedup_handles: list | None = 
                 bodies = batch.column("body").to_pylist()
                 need = [i for i, (k, b) in enumerate(zip(kinds, bodies))
                         if k == "imgref" and b is None]
-        changed = bool(need)
-        fetched_hosts = set()
-        if need and http_addr:
-            # real-socket subresource fetch: Range-resume and retries
-            # happen inside the client, truncation/latency server-side
-            client = _http_client(http_addr, retries, backoff_base_s,
-                                  range_resume)
-            _, _, fetched, _ = client.lookup([urls[i] for i in need])
-            for i, b in zip(need, fetched):
-                bodies[i] = b
-        elif need:
-            _, _, fetched, _ = reader.lookup([urls[i] for i in need])
-            part = _cached_get(partial_ref) if partial_ref is not None else {}
-            for i, b in zip(need, fetched):
-                n = part.get(urls[i])
-                if n and b:
-                    b = _range_resume(b, n, range_resume)
-                bodies[i] = b
-                fetched_hosts.add(urls[i].split("/", 3)[2])
-        if changed and latency_ref is not None:
-            lat: dict[str, int] = _cached_get(latency_ref)
-            if lat:
-                _time.sleep(max(lat.get(h, 0) for h in fetched_hosts) / 1000.0)
-        if not changed:
+        if not need:
             return batch
+        _, _, fetched, _ = fetch_client(backend).lookup(
+            [urls[i] for i in need])
+        for i, b in zip(need, fetched):
+            bodies[i] = b
         idx = batch.schema.get_field_index("body")
         return batch.set_column(idx, "body", pa.array(bodies, pa.binary()))
 
@@ -493,7 +411,6 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
     the last stage before the write sink, so the wave's write barrier
     then implies every offer was processed — same exactness as a
     separate post-wave offer pass, without a second pass per wave."""
-    num_shards = len(dedup_handles)
     _offer_inline = (
         make_offer_fn(frontier_handles) if frontier_handles is not None else None
     )
@@ -539,23 +456,11 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
                 img["subresource"] = r["subresource"]
                 image_rows.append(img)
         if image_rows:
-            by_shard: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            row_pos: dict[int, list[int]] = defaultdict(list)
-            for i, row in enumerate(image_rows):
-                h64 = int(row["pixel_sha1"][:16], 16)
-                s = h64 % num_shards
-                by_shard[s].append((h64, int(row["ord"])))
-                row_pos[s].append(i)
-            masks = _wait_holding_cpu(
-                [dedup_handles[s].stage_many_keyed.remote(hs, 1)
-                 for s, hs in by_shard.items()]
-            )
-            keep = set()
-            for (s, _), mask in zip(by_shard.items(), masks):
-                for pos, is_new in zip(row_pos[s], mask):
-                    if is_new:
-                        keep.add(pos)
-            image_rows = [r for i, r in enumerate(image_rows) if i in keep]
+            new = _claim_new(
+                dedup_handles,
+                [(int(r["pixel_sha1"][:16], 16), int(r["ord"]))
+                 for r in image_rows], 1)
+            image_rows = [r for r, is_new in zip(image_rows, new) if is_new]
         new_tbl = pa.Table.from_pylist(docs + image_rows, schema=UNIFIED_SCHEMA)
         return _stamp_yyyymm(pa.concat_tables([passthrough, new_tbl]))
 

@@ -1,5 +1,6 @@
 """Real-socket fetch path (VERDICT r3 item 1): the loopback HTTP vhost
-server + stdlib client behind make_fetch_fn's stage signature.
+server + stdlib client, and its lookup contract shared with the corpus
+fetch client.
 
 The golden test crawls the SAME corpus twice — once resolving against
 the broadcast corpus index, once over real TCP (retries, 503 backoff,
@@ -19,6 +20,10 @@ from playwrightcrawler_ray.corpus.generate import CorpusData
 from playwrightcrawler_ray.corpus.httpserve import (
     CorpusHTTPServer,
     HttpFetchClient,
+)
+from playwrightcrawler_ray.corpus.store import (
+    CorpusFetchClient,
+    put_corpus_index,
 )
 
 
@@ -54,34 +59,66 @@ def small_corpus():
     return c, body
 
 
-def test_http_client_semantics(small_corpus):
-    """Each failure mode crosses a real socket: 503-retry-success,
-    retry-exhaustion → 599, genuine truncation + Range reassembly,
-    redirect Location passthrough, 404 miss."""
-    c, body = small_corpus
-    with CorpusHTTPServer(c) as srv:
-        cl = HttpFetchClient(srv.addr, retries=3, backoff_base_s=0.001)
-        st, ct, bo, rd = cl.lookup([
-            "http://a.test/", "http://a.test/big.bin", "http://a.test/redir",
-            "http://a.test/flaky", "http://a.test/dead", "http://a.test/miss",
-        ])
-        assert (st[0], ct[0], bo[0]) == (
-            200, "text/html; charset=utf-8", b"<html>hi</html>")
-        assert (st[1], bo[1]) == (200, body)  # reassembled over Range
-        assert (st[2], bo[2], rd[2]) == (301, b"", "http://a.test/")
-        assert (st[3], bo[3]) == (200, b"finally")  # 2×503 then success
-        assert st[4] == 599  # retries exhausted, terminal
-        assert (st[5], ct[5], bo[5]) == (404, "", b"")
+@pytest.fixture(params=["http", "corpus"])
+def client_for(request, small_corpus):
+    """(server or None, client factory) for each fetch backend over
+    ``small_corpus``: the stages see only the shared ``lookup``
+    contract, so both must answer every case identically."""
+    c, _ = small_corpus
+    if request.param == "http":
+        with CorpusHTTPServer(c) as srv:
+            yield srv, lambda **kw: HttpFetchClient(srv.addr, **kw)
+    else:
+        request.getfixturevalue("ray_session")
+        ref = put_corpus_index(c)
+        yield None, lambda **kw: CorpusFetchClient(ref, **kw)
+
+
+def test_http_client_semantics(small_corpus, client_for):
+    """Each failure mode, over a real socket and over the corpus index:
+    503-retry-success, retry-exhaustion → 599, truncation + Range
+    reassembly, redirect Location passthrough, 404 miss."""
+    _, body = small_corpus
+    srv, make_client = client_for
+    cl = make_client(retries=3, backoff_base_s=0.001)
+    got = cl.lookup([
+        "http://a.test/", "http://a.test/big.bin", "http://a.test/redir",
+        "http://a.test/flaky", "http://a.test/dead", "http://a.test/miss",
+    ])
+    assert got == (
+        [200, 200, 301, 200, 599, 404],
+        ["text/html; charset=utf-8", "application/octet-stream", "",
+         "text/plain", "", ""],
+        # big.bin reassembled over Range; flaky: 2×503 then success;
+        # dead: retries exhausted, terminal
+        [b"<html>hi</html>", body, b"", b"finally", b"", b""],
+        ["", "", "http://a.test/", "", "", ""],
+    )
+    if srv is not None:
         # the Range loop really issued one request per chunk
         assert srv.request_count >= 6 + (len(body) // 1000)
 
 
-def test_http_naive_client_keeps_truncated_body(small_corpus):
-    c, body = small_corpus
-    with CorpusHTTPServer(c) as srv:
-        cl = HttpFetchClient(srv.addr, retries=3, range_resume=False)
-        st, _, bo, _ = cl.lookup(["http://a.test/big.bin"])
-        assert st[0] == 200 and bo[0] == body[:1000]
+def test_http_naive_client_keeps_truncated_body(small_corpus, client_for):
+    _, body = small_corpus
+    _, make_client = client_for
+    cl = make_client(retries=3, range_resume=False)
+    st, _, bo, _ = cl.lookup(["http://a.test/big.bin"])
+    assert st[0] == 200 and bo[0] == body[:1000]
+
+
+@pytest.mark.parametrize("backend,addr", [("http", ""),
+                                          ("htpp", "127.0.0.1:1")])
+def test_engine_rejects_an_unusable_fetch_backend(ray_session, small_corpus,
+                                                  backend, addr):
+    """A misspelt backend, or "http" without an address, fails at
+    engine start instead of silently crawling the in-memory corpus."""
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
+
+    cfg = CrawlConfig(output_dir="/tmp/pwc_bad_backend",
+                      fetch_backend=backend, http_addr=addr)
+    with pytest.raises(ValueError, match="fetch_backend"):
+        CrawlEngine(small_corpus[0], cfg)
 
 
 @pytest.fixture(scope="module")

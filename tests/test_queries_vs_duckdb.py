@@ -910,3 +910,32 @@ def test_lineitem_profile_planted_nulls(ray_session, tmp_path):
     assert by.loc["l_discount", "n_null"] == 5
     assert by.loc["l_discount", "n_distinct"] == 0
     assert pd.isna(by.loc["l_discount", "vmin"])
+
+
+def test_user_groups_stay_within_rows_per_group(ray_session, monkeypatch):
+    """The per-user ops' bucket count grows with the table: at a 10×
+    larger events table the largest map_groups group still holds at
+    most ROWS_PER_GROUP rows, and the ops stay equal to their SQL."""
+    from playwrightcrawler_ray.ops import analytics
+    from playwrightcrawler_ray.ops.io import read_table
+
+    bound = 500
+    monkeypatch.setattr(analytics, "ROWS_PER_GROUP", bound)
+    sf_root = os.path.dirname(SF_DIR)
+    sf_small, sf_large = (os.path.join(sf_root, s) for s in ("sf0.01", "sf0.1"))
+    for sf in (sf_small, sf_large):
+        ev = read_table(sf, "events", ["user_id"])
+        sizes = (analytics._user_groups(ev).count().to_pandas()
+                 ["count()"])
+        assert len(sizes) > analytics.MIN_BUCKETS
+        assert sizes.sum() == ev.count()
+        assert sizes.max() <= bound, (sf, sizes.max())
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"'{sf_small}/events.parquet'")
+    for q, sql in ((analytics.q_user_sessions, analytics.SQL_USER_SESSIONS),
+                   (analytics.q_events_rolling,
+                    analytics.SQL_EVENTS_ROLLING)):
+        g = _normalize(q(sf_small))
+        w = _normalize(con.sql(sql).df())
+        pd.testing.assert_frame_equal(g, w, check_dtype=False)
