@@ -5,10 +5,8 @@ frontier-scheduled waves → images table of the BASELINE.json input_hint
 shape) and returns the images Dataset. ``queries()`` exposes the
 implemented operators over the driver's parquet tables;
 ``oracle_sql()`` gives the DuckDB-equivalent SQL for the
-SQL-expressible ones (approximate/heuristic ops are rows-only by
-design: minhash-LSH, simhash, LSH/IVF-ANN, LSH near-dup, k-means,
-HLL distinct-count, language-ID, fingerprints, and the
-oracle-verified-in-pytest crawl queries).
+SQL-expressible ones. Both derive from ``op_registry()``, where each
+op declares its oracle SQL or its rows-only reason.
 
 Ray is initialised by the driver BEFORE this module is imported: no
 ray.init()/ray.shutdown() anywhere in the import chain or callables.
@@ -204,8 +202,24 @@ def _q_crawl_phash_buckets(_sf_dir: str):
     return out.sort_values("band").reset_index(drop=True)
 
 
-def queries() -> dict[str, Callable[[str], Any]]:
-    _data_context()
+class Op:
+    """One driver op: its callable over an sf dir, plus either the
+    DuckDB SQL that oracles it or the reason it has none."""
+
+    __slots__ = ("name", "fn", "sql", "rows_only")
+
+    def __init__(self, name: str, fn: Callable[[str], Any],
+                 sql: str | None = None, rows_only: str = ""):
+        if (sql is None) == (not rows_only):
+            raise ValueError(
+                f"op {name!r}: set exactly one of sql and rows_only")
+        self.name, self.fn, self.sql, self.rows_only = (
+            name, fn, sql, rows_only)
+
+
+def op_registry() -> list[Op]:
+    """Every driver op, declared once; ``queries()`` and
+    ``oracle_sql()`` are derived from this list."""
     from playwrightcrawler_ray.ops import analytics as A
     from playwrightcrawler_ray.ops import ann as N
     from playwrightcrawler_ray.ops import dedup as D
@@ -216,229 +230,205 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from playwrightcrawler_ray.ops import textstats as T
     from playwrightcrawler_ray.pipelines import trainset_text as TT
 
-    return {
-        # crawl-flavored pipelines (rows-only: oracle-verified in pytest)
-        "crawl_images": _q_crawl_images,
-        "crawl_pages_by_source": _q_crawl_pages_by_source,
-        "crawl_phash_buckets": _q_crawl_phash_buckets,
-        "crawl_trainset": _q_crawl_trainset,
-        "crawl_media_probe": _q_crawl_media_probe,
-        "crawl_align_scores": _q_crawl_align_scores,
-        # image-side SemDeDup over the crawl's stored images
-        # (rows-only: kmeans-seeded; kernel contract pinned in pytest)
-        "crawl_semdedup": _q_crawl_semdedup,
-        "crawl_pagerank": _q_crawl_pagerank,
+    crawl = "crawl output; the crawl is oracle-verified in pytest"
+    return [
+        # crawl-flavored pipelines
+        Op("crawl_images", _q_crawl_images, rows_only=crawl),
+        Op("crawl_pages_by_source", _q_crawl_pages_by_source,
+           rows_only=crawl),
+        Op("crawl_phash_buckets", _q_crawl_phash_buckets, rows_only=crawl),
+        Op("crawl_trainset", _q_crawl_trainset, rows_only=crawl),
+        Op("crawl_media_probe", _q_crawl_media_probe,
+           rows_only="crawl output; probe values spec-fixture-verified "
+                     "in pytest"),
+        Op("crawl_align_scores", _q_crawl_align_scores,
+           rows_only="trained model scores; held-out accuracy pinned "
+                     "in pytest"),
+        Op("crawl_semdedup", _q_crawl_semdedup,
+           rows_only="kmeans-seeded; kernel contract pinned in pytest"),
+        Op("crawl_pagerank", _q_crawl_pagerank,
+           rows_only="iterative float fixpoint; vs a dense power "
+                     "iteration in pytest"),
         # relational / analytics (SURVEY.md §2.5-2.6)
-        "pricing_summary": A.q_pricing_summary,
-        "top_customers": A.q_top_customers,
-        "orders_without_lineitem": A.q_orders_without_lineitem,
-        "region_nation_counts": A.q_region_nation_counts,
-        "part_top3_by_brand": A.q_part_top3_by_brand,
-        "events_by_type": A.q_events_by_type,
-        "events_hourly": A.q_events_hourly,
-        "user_sessions": A.q_user_sessions,
-        "events_ts_range": A.q_events_ts_range,
-        "supplier_by_nation": A.q_supplier_by_nation,
-        "customer_segments": A.q_customer_segments,
+        Op("pricing_summary", A.q_pricing_summary, A.SQL_PRICING_SUMMARY),
+        Op("top_customers", A.q_top_customers, A.SQL_TOP_CUSTOMERS),
+        Op("orders_without_lineitem", A.q_orders_without_lineitem,
+           A.SQL_ORDERS_WITHOUT_LINEITEM),
+        Op("region_nation_counts", A.q_region_nation_counts,
+           A.SQL_REGION_NATION_COUNTS),
+        Op("part_top3_by_brand", A.q_part_top3_by_brand,
+           A.SQL_PART_TOP3_BY_BRAND),
+        Op("events_by_type", A.q_events_by_type, A.SQL_EVENTS_BY_TYPE),
+        Op("events_hourly", A.q_events_hourly, A.SQL_EVENTS_HOURLY),
+        Op("user_sessions", A.q_user_sessions, A.SQL_USER_SESSIONS),
+        Op("events_ts_range", A.q_events_ts_range, A.SQL_EVENTS_TS_RANGE),
+        Op("supplier_by_nation", A.q_supplier_by_nation,
+           A.SQL_SUPPLIER_BY_NATION),
+        Op("customer_segments", A.q_customer_segments,
+           A.SQL_CUSTOMER_SEGMENTS),
         # ordered window functions (LAG + ROWS-frame rolling sum)
-        "events_rolling": A.q_events_rolling,
+        Op("events_rolling", A.q_events_rolling, A.SQL_EVENTS_ROLLING),
         # single-scan multi-level ROLLUP from one partial-agg pass
-        "lineitem_rollup": A.q_lineitem_rollup,
+        Op("lineitem_rollup", A.q_lineitem_rollup, A.SQL_LINEITEM_ROLLUP),
         # grouped COUNT DISTINCT: exact pair-stream combiner ...
-        "events_distinct_users": A.q_events_distinct_users,
+        Op("events_distinct_users", A.q_events_distinct_users,
+           A.SQL_EVENTS_DISTINCT_USERS),
         # column profiling (null fraction / distinct / range per col)
-        "lineitem_profile": A.q_lineitem_profile,
+        Op("lineitem_profile", A.q_lineitem_profile,
+           A.SQL_LINEITEM_PROFILE),
         # pivot/crosstab (event_type × hour): combiner partials, no
         # event-row shuffle
-        "events_pivot": A.q_events_pivot,
+        Op("events_pivot", A.q_events_pivot, A.SQL_EVENTS_PIVOT),
         # exact grouped PERCENTILE_CONT (integer-cent interpolation)
-        "lineitem_price_quartiles": A.q_lineitem_price_quartiles,
+        Op("lineitem_price_quartiles", A.q_lineitem_price_quartiles,
+           A.SQL_LINEITEM_PRICE_QUARTILES),
         # Pearson correlation via mergeable sufficient statistics
-        "lineitem_corr": A.q_lineitem_corr,
+        Op("lineitem_corr", A.q_lineitem_corr, A.SQL_LINEITEM_CORR),
         # cohort retention (first-activity-day cohorts × day offset)
-        "user_retention": A.q_user_retention,
-        # ... and its bounded-state HLL sketch twin (rows-only:
-        # estimator; error-bound agreement vs the exact op in pytest)
-        "events_distinct_users_hll": S.q_events_distinct_users_hll,
+        Op("user_retention", A.q_user_retention, A.SQL_USER_RETENTION),
+        # ... and its bounded-state HLL sketch twin
+        Op("events_distinct_users_hll", S.q_events_distinct_users_hll,
+           rows_only="sketch estimate; error bound vs the exact op "
+                     "in pytest"),
         # temporal joins (operators Ray Data lacks natively)
-        "asof_join": J.q_asof_join,
-        "range_join": J.q_range_join,
+        Op("asof_join", J.q_asof_join, J.SQL_ASOF_JOIN),
+        Op("range_join", J.q_range_join, J.SQL_RANGE_JOIN),
         # broadcast-Bloom-pruned hash join (no probe-side shuffle)
-        "bloom_semijoin": J.q_bloom_semijoin,
+        Op("bloom_semijoin", J.q_bloom_semijoin, J.SQL_BLOOM_SEMIJOIN),
         # text analysis
-        "token_counts": T.q_token_counts,
-        "token_counts_bpe": T.q_token_counts_bpe,
-        "quality_signals": T.q_quality_signals,
-        "docs_gopher_quality": T.q_docs_gopher_quality,
-        "docs_tfidf_topk": T.q_docs_tfidf_topk,
-        "lang_distribution": T.q_lang_distribution,
-        "docs_token_quantiles": T.q_docs_token_quantiles,
-        "docs_regex_scan": T.q_docs_regex_scan,
+        Op("token_counts", T.q_token_counts, T.SQL_TOKEN_COUNTS),
+        Op("token_counts_bpe", T.q_token_counts_bpe,
+           T.SQL_TOKEN_COUNTS_BPE),
+        Op("quality_signals", T.q_quality_signals, T.SQL_QUALITY_SIGNALS),
+        Op("docs_gopher_quality", T.q_docs_gopher_quality,
+           T.SQL_DOCS_GOPHER_QUALITY),
+        Op("docs_tfidf_topk", T.q_docs_tfidf_topk, T.sql_docs_tfidf_topk()),
+        Op("lang_distribution", T.q_lang_distribution,
+           T.SQL_LANG_DISTRIBUTION),
+        Op("docs_token_quantiles", T.q_docs_token_quantiles,
+           T.SQL_DOCS_TOKEN_QUANTILES),
+        Op("docs_regex_scan", T.q_docs_regex_scan, T.SQL_DOCS_REGEX_SCAN),
         # PII redaction (the scrub twin of the regex scan): counts +
-        # md5 of the fully redacted text, hash-exact vs the oracle
-        "docs_pii_scrub": T.q_docs_pii_scrub,
-        "docs_inverted_index": T.q_docs_inverted_index,
-        "docs_by_source": T.q_docs_by_source,
-        "doc_exact_dedup": T.q_doc_exact_dedup,
-        "langid_quality": T.q_langid_quality,          # rows-only (heuristic)
-        "bpe_learn_merges": T.q_bpe_learn_merges,      # rows-only (iterative)
-        "doc_fingerprints": T.q_doc_fingerprints,      # rows-only (hash fns)
+        # md5 of the fully redacted text
+        Op("docs_pii_scrub", T.q_docs_pii_scrub, T.SQL_DOCS_PII_SCRUB),
+        Op("docs_inverted_index", T.q_docs_inverted_index,
+           T.SQL_DOCS_INVERTED_INDEX),
+        Op("docs_by_source", T.q_docs_by_source, T.SQL_DOCS_BY_SOURCE),
+        Op("doc_exact_dedup", T.q_doc_exact_dedup, T.SQL_DOC_EXACT_DEDUP),
+        Op("langid_quality", T.q_langid_quality, rows_only="heuristic"),
+        Op("bpe_learn_merges", T.q_bpe_learn_merges, rows_only="iterative"),
+        Op("doc_fingerprints", T.q_doc_fingerprints, rows_only="hash fns"),
         # curation: seeded sampling + per-source quota + split
-        "doc_sample": T.q_doc_sample,
+        Op("doc_sample", T.q_doc_sample, T.sql_doc_sample()),
         # weighted (Efraimidis-Spirakis) draw: P(include) ∝ n_chars
-        "docs_weighted_sample": T.q_docs_weighted_sample,
-        "docs_stratified_sample": T.q_docs_stratified_sample,
-        "docs_per_source_cap": T.q_docs_per_source_cap,
-        "docs_split": T.q_docs_split,
+        Op("docs_weighted_sample", T.q_docs_weighted_sample,
+           T.sql_docs_weighted_sample()),
+        Op("docs_stratified_sample", T.q_docs_stratified_sample,
+           T.sql_docs_stratified_sample()),
+        Op("docs_per_source_cap", T.q_docs_per_source_cap,
+           T.sql_docs_per_source_cap()),
+        Op("docs_split", T.q_docs_split, T.sql_docs_split()),
         # benchmark decontamination (n-gram overlap vs holdout slice):
         # broadcast layout + the no-broadcast shingle-join scale twin
-        "docs_decontaminate": D.q_docs_decontaminate,
-        "docs_decontaminate_join": D.q_docs_decontaminate_join,
+        Op("docs_decontaminate", D.q_docs_decontaminate,
+           D.sql_docs_decontaminate()),
+        Op("docs_decontaminate_join", D.q_docs_decontaminate_join,
+           D.sql_docs_decontaminate()),
         # statistical-LM curation: CCNet-style perplexity filter and
-        # DSIR-style importance log-weights — int64 micro-nat scores,
-        # hash-exact vs the DuckDB oracle (ops/lm.py)
-        "docs_lm_perplexity": L.q_docs_lm_perplexity,
-        "docs_dsir_weights": L.q_docs_dsir_weights,
-        "docs_ccnet_buckets": L.q_docs_ccnet_buckets,
+        # DSIR-style importance log-weights (int64 micro-nat scores)
+        Op("docs_lm_perplexity", L.q_docs_lm_perplexity,
+           L.sql_docs_lm_perplexity()),
+        Op("docs_dsir_weights", L.q_docs_dsir_weights,
+           L.sql_docs_dsir_weights()),
+        Op("docs_ccnet_buckets", L.q_docs_ccnet_buckets,
+           L.sql_docs_ccnet_buckets()),
         # corpus heavy hitters: exact vocabulary-state top-k ...
-        "words_topk": T.q_words_topk,
+        Op("words_topk", T.q_words_topk, T.sql_words_topk()),
         # fuzzy vocabulary self-join (SymSpell deletion neighborhoods
         # -> equality groupby -> banded-DP verify; never all-pairs)
-        "words_edit_pairs": T.q_words_edit_pairs,
-        # ... and the bounded-state Misra-Gries summary (rows-only:
-        # sketch; guarantee-tested against the exact twin in pytest)
-        "words_topk_mg": S.q_words_topk_mg,
-        # ... and the fixed-state count-min estimate (rows-only:
-        # sketch; overestimate + linear-merge guarantees pinned vs
-        # the exact twin in pytest)
-        "words_topk_cms": S.q_words_topk_cms,
+        Op("words_edit_pairs", T.q_words_edit_pairs,
+           T.sql_words_edit_pairs()),
+        # ... and its bounded-state sketch twins
+        Op("words_topk_mg", S.q_words_topk_mg,
+           rows_only="Misra-Gries sketch; guarantees vs the exact twin "
+                     "in pytest"),
+        Op("words_topk_cms", S.q_words_topk_cms,
+           rows_only="count-min sketch; overestimate and merge "
+                     "guarantees vs the exact twin in pytest"),
         # float-domain quantiles via the mergeable compactor sketch
-        # (rows-only: carries its own rank-error certificate, checked
-        # against exact ranks in pytest)
-        "embedding_norm_quantiles": S.q_embedding_norm_quantiles,
+        Op("embedding_norm_quantiles", S.q_embedding_norm_quantiles,
+           rows_only="quantile sketch; rank-error certificate checked "
+                     "in pytest"),
         # dedup family
         # cross-doc paragraph-exact dedup (RefinedWeb/Dolma stage):
-        # two-shuffle explode→first-occurrence→reassemble, SQL-oracled
-        "docs_paragraph_dedup": P.q_docs_paragraph_dedup,
+        # two-shuffle explode→first-occurrence→reassemble
+        Op("docs_paragraph_dedup", P.q_docs_paragraph_dedup,
+           P.sql_docs_paragraph_dedup()),
         # per-doc duplicate n-gram fraction (Lee et al. diagnostic):
-        # one gram-partition shuffle, doc-sized partials, SQL-oracled
-        "docs_dup_ngram_fraction": P.q_docs_dup_ngram_fraction,
+        # one gram-partition shuffle, doc-sized partials
+        Op("docs_dup_ngram_fraction", P.q_docs_dup_ngram_fraction,
+           P.sql_docs_dup_ngram_fraction()),
         # ExactSubstr span REMOVAL (Lee et al.): cut every duplicated
-        # token span except its global first occurrence and reassemble
-        # the documents — two shuffles, SQL-oracled
-        "docs_substring_dedup": P.q_docs_substring_dedup,
-        "ngram_jaccard_top_pairs": D.q_ngram_jaccard_top_pairs,
-        "minhash_lsh_pairs": D.q_minhash_lsh_pairs,    # rows-only (approx)
-        "simhash": D.q_simhash,                        # rows-only (hash fn)
+        # token span except its global first occurrence
+        Op("docs_substring_dedup", P.q_docs_substring_dedup,
+           P.sql_docs_substring_dedup()),
+        Op("ngram_jaccard_top_pairs", D.q_ngram_jaccard_top_pairs,
+           D.sql_ngram_jaccard_top_pairs()),
+        Op("minhash_lsh_pairs", D.q_minhash_lsh_pairs, rows_only="approx"),
+        Op("simhash", D.q_simhash, rows_only="hash fn"),
         # Manku/WWW'07 banded Hamming-radius pairs over the simhash
-        # (rows-only: hash fn; exact vs the brute-force all-pairs
-        # kernel, pinned in pytest)
-        "simhash_hamming_pairs": D.q_simhash_hamming_pairs,
-        # rows-only: near-dup COLLAPSE over minhash edges + contraction
-        "doc_neardup_dedup": D.q_doc_neardup_dedup,
-        # oracle-anchored twin: exact-Jaccard edges + same collapse
-        "doc_neardup_dedup_exact": D.q_doc_neardup_dedup_exact,
+        Op("simhash_hamming_pairs", D.q_simhash_hamming_pairs,
+           rows_only="hash fn; exact vs the brute-force all-pairs kernel "
+                     "in pytest"),
+        # near-dup COLLAPSE over the edges + contraction, and its
+        # exact-Jaccard-edges twin
+        Op("doc_neardup_dedup", D.q_doc_neardup_dedup,
+           rows_only="approx (minhash edges)"),
+        Op("doc_neardup_dedup_exact", D.q_doc_neardup_dedup_exact,
+           D.sql_doc_neardup_dedup_exact()),
         # full text-corpus curation pipeline (gate → exact dedup →
-        # near-dup collapse → per-source quota → sharded write):
-        # minhash edges (rows-only, the scale path) + exact-edges
-        # oracle twin
-        "docs_trainset": TT.q_docs_trainset,
-        "docs_trainset_exact": TT.q_docs_trainset_exact,
-        # the same chain with the benchmark-decontamination stage on
-        "docs_trainset_decontam": TT.q_docs_trainset_decontam,
-        # ... and with the cross-doc paragraph-exact dedup stage on
-        "docs_trainset_pardedup": TT.q_docs_trainset_pardedup,
+        # near-dup collapse → per-source quota → sharded write), with
+        # the decontamination or paragraph-dedup stage on
+        Op("docs_trainset", TT.q_docs_trainset,
+           rows_only="approx (minhash edges)"),
+        Op("docs_trainset_exact", TT.q_docs_trainset_exact,
+           TT.sql_docs_trainset_exact()),
+        Op("docs_trainset_decontam", TT.q_docs_trainset_decontam,
+           TT.sql_docs_trainset_decontam()),
+        Op("docs_trainset_pardedup", TT.q_docs_trainset_pardedup,
+           TT.sql_docs_trainset_pardedup()),
         # similarity search
-        "ann_topk": N.q_ann_topk,
+        Op("ann_topk", N.q_ann_topk, N.sql_ann_topk()),
         # batched multi-query top-k: one GEMM per batch against the
         # broadcast query matrix, per-query partial top-k
-        "ann_topk_batch": N.q_ann_topk_batch,
-        "embedding_neardup_pairs": N.q_embedding_neardup_pairs,
-        "embedding_neardup_lsh": N.q_embedding_neardup_lsh,  # rows-only (approx scale twin)
-        "dedup_components": N.q_dedup_components,
-        # rows-only: full no-broadcast pipeline (LSH edges + contraction)
-        "dedup_components_lsh": N.q_dedup_components_lsh,
-        "ann_topk_lsh": N.q_ann_topk_lsh,              # rows-only (approx)
-        "ann_topk_ivf": N.q_ann_topk_ivf,              # rows-only (approx)
+        Op("ann_topk_batch", N.q_ann_topk_batch, N.sql_ann_topk_batch()),
+        Op("embedding_neardup_pairs", N.q_embedding_neardup_pairs,
+           N.sql_embedding_neardup_pairs()),
+        Op("embedding_neardup_lsh", N.q_embedding_neardup_lsh,
+           rows_only="approx scale twin"),
+        Op("dedup_components", N.q_dedup_components,
+           N.sql_dedup_components()),
+        # full no-broadcast pipeline (LSH edges + contraction)
+        Op("dedup_components_lsh", N.q_dedup_components_lsh,
+           rows_only="approx (LSH edges)"),
+        Op("ann_topk_lsh", N.q_ann_topk_lsh, rows_only="approx"),
+        Op("ann_topk_ivf", N.q_ann_topk_ivf, rows_only="approx"),
         # IVF-PQ / IVFADC+R (Jégou et al. 2011): m_sub-byte codes +
         # asymmetric-distance tables + exact rerank of the ADC top-R
-        # (rows-only: approx; recall + score-exactness in pytest)
-        "ann_topk_ivfpq": N.q_ann_topk_ivfpq,          # rows-only (approx)
-        "embedding_kmeans": N.q_embedding_kmeans,      # rows-only (iterative)
-        # SemDeDup: cluster-bucketed semantic dedup (rows-only:
-        # kmeans-seeded; drop-subset + recall vs the exact global
-        # collapse pinned in pytest)
-        "docs_semdedup": N.q_docs_semdedup,
-    }
+        Op("ann_topk_ivfpq", N.q_ann_topk_ivfpq,
+           rows_only="approx; recall and rerank exactness in pytest"),
+        Op("embedding_kmeans", N.q_embedding_kmeans, rows_only="iterative"),
+        # SemDeDup: cluster-bucketed semantic dedup
+        Op("docs_semdedup", N.q_docs_semdedup,
+           rows_only="kmeans-seeded; drop-subset and recall vs the exact "
+                     "collapse in pytest"),
+    ]
+
+
+def queries() -> dict[str, Callable[[str], Any]]:
+    _data_context()
+    return {op.name: op.fn for op in op_registry()}
 
 
 def oracle_sql() -> dict[str, str]:
-    from playwrightcrawler_ray.ops import analytics as A
-    from playwrightcrawler_ray.ops import ann as N
-    from playwrightcrawler_ray.ops import dedup as D
-    from playwrightcrawler_ray.ops import joins as J
-    from playwrightcrawler_ray.ops import lm as L
-    from playwrightcrawler_ray.ops import pardedup as P
-    from playwrightcrawler_ray.ops import textstats as T
-    from playwrightcrawler_ray.pipelines import trainset_text as TT
-
-    return {
-        "pricing_summary": A.SQL_PRICING_SUMMARY,
-        "top_customers": A.SQL_TOP_CUSTOMERS,
-        "orders_without_lineitem": A.SQL_ORDERS_WITHOUT_LINEITEM,
-        "region_nation_counts": A.SQL_REGION_NATION_COUNTS,
-        "part_top3_by_brand": A.SQL_PART_TOP3_BY_BRAND,
-        "events_by_type": A.SQL_EVENTS_BY_TYPE,
-        "events_hourly": A.SQL_EVENTS_HOURLY,
-        "user_sessions": A.SQL_USER_SESSIONS,
-        "events_ts_range": A.SQL_EVENTS_TS_RANGE,
-        "supplier_by_nation": A.SQL_SUPPLIER_BY_NATION,
-        "customer_segments": A.SQL_CUSTOMER_SEGMENTS,
-        "events_rolling": A.SQL_EVENTS_ROLLING,
-        "lineitem_rollup": A.SQL_LINEITEM_ROLLUP,
-        "events_distinct_users": A.SQL_EVENTS_DISTINCT_USERS,
-        "lineitem_profile": A.SQL_LINEITEM_PROFILE,
-        "events_pivot": A.SQL_EVENTS_PIVOT,
-        "lineitem_price_quartiles": A.SQL_LINEITEM_PRICE_QUARTILES,
-        "lineitem_corr": A.SQL_LINEITEM_CORR,
-        "user_retention": A.SQL_USER_RETENTION,
-        "asof_join": J.SQL_ASOF_JOIN,
-        "range_join": J.SQL_RANGE_JOIN,
-        "bloom_semijoin": J.SQL_BLOOM_SEMIJOIN,
-        "token_counts": T.SQL_TOKEN_COUNTS,
-        "token_counts_bpe": T.SQL_TOKEN_COUNTS_BPE,
-        "quality_signals": T.SQL_QUALITY_SIGNALS,
-        "docs_gopher_quality": T.SQL_DOCS_GOPHER_QUALITY,
-        "docs_tfidf_topk": T.sql_docs_tfidf_topk(),
-        "lang_distribution": T.SQL_LANG_DISTRIBUTION,
-        "docs_token_quantiles": T.SQL_DOCS_TOKEN_QUANTILES,
-        "docs_regex_scan": T.SQL_DOCS_REGEX_SCAN,
-        "docs_pii_scrub": T.SQL_DOCS_PII_SCRUB,
-        "docs_weighted_sample": T.sql_docs_weighted_sample(),
-        "docs_inverted_index": T.SQL_DOCS_INVERTED_INDEX,
-        "docs_by_source": T.SQL_DOCS_BY_SOURCE,
-        "doc_exact_dedup": T.SQL_DOC_EXACT_DEDUP,
-        "doc_sample": T.sql_doc_sample(),
-        "docs_stratified_sample": T.sql_docs_stratified_sample(),
-        "docs_per_source_cap": T.sql_docs_per_source_cap(),
-        "docs_split": T.sql_docs_split(),
-        "docs_decontaminate": D.sql_docs_decontaminate(),
-        "docs_decontaminate_join": D.sql_docs_decontaminate(),
-        "docs_lm_perplexity": L.sql_docs_lm_perplexity(),
-        "docs_dsir_weights": L.sql_docs_dsir_weights(),
-        "docs_ccnet_buckets": L.sql_docs_ccnet_buckets(),
-        "words_topk": T.sql_words_topk(),
-        "words_edit_pairs": T.sql_words_edit_pairs(),
-        "docs_paragraph_dedup": P.sql_docs_paragraph_dedup(),
-        "docs_dup_ngram_fraction": P.sql_docs_dup_ngram_fraction(),
-        "docs_substring_dedup": P.sql_docs_substring_dedup(),
-        "ngram_jaccard_top_pairs": D.sql_ngram_jaccard_top_pairs(),
-        "doc_neardup_dedup_exact": D.sql_doc_neardup_dedup_exact(),
-        "docs_trainset_exact": TT.sql_docs_trainset_exact(),
-        "docs_trainset_decontam": TT.sql_docs_trainset_decontam(),
-        "docs_trainset_pardedup": TT.sql_docs_trainset_pardedup(),
-        "ann_topk": N.sql_ann_topk(),
-        "ann_topk_batch": N.sql_ann_topk_batch(),
-        "embedding_neardup_pairs": N.sql_embedding_neardup_pairs(),
-        "dedup_components": N.sql_dedup_components(),
-    }
+    return {op.name: op.sql for op in op_registry() if op.sql is not None}

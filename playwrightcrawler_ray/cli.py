@@ -137,10 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         qs = entry.queries()
         if args.list or not args.name:
-            oracled = set(entry.oracle_sql())
-            for name in sorted(qs):
-                kind = "sql-oracled" if name in oracled else "rows-only"
-                print(f"{name}\t{kind}")
+            for op in sorted(entry.op_registry(), key=lambda o: o.name):
+                kind = "rows-only" if op.rows_only else "sql-oracled"
+                print(f"{op.name}\t{kind}\t{op.rows_only}")
             return 0
         if args.name not in qs:
             print(json.dumps({"error": f"unknown query {args.name!r} "

@@ -148,11 +148,6 @@ class CrawlConfig:
     # concurrency (latency-bound crawls); large values amortize
     # per-task overhead (compute-bound).
     wave_batch_size: int = 128
-    # publish per-wave checkpoints on a background thread (the actor
-    # state snapshot RPC is still issued AT the barrier — ordering
-    # with next-wave offers is preserved by actor message order; only
-    # the blob await + file writes move off the critical path).
-    async_checkpoint: bool = True
 
     # --- sinks ---
     output_dir: str = "/tmp/pwc_ray_out"

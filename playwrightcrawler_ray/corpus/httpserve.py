@@ -60,10 +60,12 @@ import ssl
 import threading
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
+from ..functions.uapool import pick_user_agent
 from .generate import CorpusData
 
 _TERMINAL = (599, "", b"", "")  # retries exhausted (fetch_error_599 doc)
@@ -167,6 +169,7 @@ class CorpusHTTPServer:
         attempts: dict[str, int] = {}
         lock = threading.Lock()
         self.request_count = 0
+        self.ua_counts: Counter[str] = Counter()  # User-Agent per request
         self.encoded_count = 0   # responses served gzip/deflate
         self.chunked_count = 0   # responses served chunked
         self.tls = tls
@@ -229,6 +232,7 @@ class CorpusHTTPServer:
                     return
                 with lock:
                     outer.request_count += 1
+                    outer.ua_counts[self.headers.get("User-Agent", "")] += 1
                 vhost = (self.headers.get("Host") or "").split(":")[0]
                 # the loopback listener is plain TCP; the client passes
                 # the original scheme the way a TLS-terminating proxy
@@ -431,7 +435,7 @@ class HttpFetchClient:
                 pass
             self._local.conn = None
 
-    def _request(self, path: str, vhost: str, scheme: str = "http",
+    def _request(self, path: str, vhost: str, scheme: str, ua: str,
                  start: int = 0):
         """One GET over the thread's persistent keep-alive connection
         (fresh-connection retry on a stale socket). Returns (status,
@@ -439,7 +443,7 @@ class HttpFetchClient:
         cut the connection mid-body."""
         # ranged re-requests always ask identity: the resume offset
         # indexes the entity bytes, not a content coding
-        headers = {"Host": vhost,
+        headers = {"Host": vhost, "User-Agent": ua,
                    "Accept-Encoding": ("identity" if start
                                        else self.accept_encoding),
                    "X-Forwarded-Proto": scheme}
@@ -477,9 +481,12 @@ class HttpFetchClient:
             path += "?" + p.query
         backoff = self.backoff_base_s
         for attempt in range(self.retries):
+            # rotated per (url, attempt) like the reference's ua.random,
+            # but reproducible (reference T2)
+            ua = pick_user_agent(url, attempt)
             try:
                 status, hdrs, body, truncated = self._request(
-                    path, vhost, scheme)
+                    path, vhost, scheme, ua)
             except OSError:
                 status, hdrs, body, truncated = 503, {}, b"", False
             if status == 503:  # transient: retry with backoff
@@ -519,7 +526,7 @@ class HttpFetchClient:
                 while len(body) < claimed:
                     try:
                         s2, h2, nxt, trunc2 = self._request(
-                            path, vhost, scheme, start=len(body)
+                            path, vhost, scheme, ua, start=len(body)
                         )
                     except OSError:
                         break

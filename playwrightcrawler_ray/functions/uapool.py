@@ -11,8 +11,9 @@ reference's ``ua.random`` is the one seed of nondeterminism its own
 reruns can't reproduce) while still spreading requests across agents
 the way server-side rate limiters observe.
 
-The corpus fetch simulator accepts-and-ignores the header; a real
-deployment passes it to the HTTP client / browser context unchanged.
+``corpus.httpserve.HttpFetchClient`` sends the pick as the
+``User-Agent`` header of every request; the in-process corpus backend
+has no headers to carry it.
 """
 
 from __future__ import annotations

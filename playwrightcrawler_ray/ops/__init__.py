@@ -3,6 +3,7 @@ tables: analytics (groupby/join/topk/anti-join/windows), text analysis,
 dedup family (exact, n-gram Jaccard, MinHash-LSH, SimHash), similarity
 search (brute-force + LSH-bucketed ANN).
 
-Every SQL-expressible operator has a DuckDB oracle string in
-__ray_entry__.oracle_sql(); approximate/heuristic ones are rows-only.
+Each driver op is declared once in __ray_entry__.op_registry() with
+either its DuckDB oracle SQL or the reason it is rows-only
+(approximate, heuristic, iterative, ...).
 """

@@ -50,6 +50,7 @@ import glob
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -304,20 +305,15 @@ class CrawlEngine:
         processes the driver's next ``step`` (same-caller actor message
         order), and wave K+1's worker-side offers can only start after
         every step returns, so the snapshot is exactly the wave-K
-        barrier state regardless of publication timing. With
-        ``cfg.async_checkpoint`` only the blob await + file writes move
-        to a background thread (at most one in flight; joined before the
-        next checkpoint and at run end), keeping seconds of serialized
-        file IO off the wave critical path — the barrier cost the 4v16
-        decomposition (BENCH_scaling_r3_4v16_decomp) flagged."""
+        barrier state regardless of publication timing. Only the blob
+        await + file writes move to a background thread (at most one in
+        flight; joined before the next checkpoint and at run end),
+        keeping seconds of serialized file IO off the wave critical path
+        — the barrier cost the 4v16 decomposition
+        (BENCH_scaling_r3_4v16_decomp) flagged."""
         blob_refs = [s.checkpoint.remote() for s in self.shards]
         dblob_refs = [d.checkpoint.remote() for d in self.dedup]
         snapshot = [dict(e) for e in wave_log]
-        if not self.cfg.async_checkpoint:
-            self._publish_checkpoint(wave, snapshot, blob_refs, dblob_refs)
-            return
-        import threading
-
         self._join_checkpoint()
 
         def _worker():

@@ -210,11 +210,9 @@ def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend):
 
     Discovered links are emitted IN-BAND as ``kind='link'`` rows (the
     reference persists its links index the same way,
-    playwrightcrawler.py:1636-1651); the driver relays them to the
-    frontier after the wave's write barrier. No actor RPC happens
-    inside tasks — a blocking ray.get in a task yields its CPU and
-    triggers raylet worker-spawn storms (measured: 128 cold workers,
-    each paying module import)."""
+    playwrightcrawler.py:1636-1651); decode offers them to the
+    frontier inside the same chunk task, through ``_wait_holding_cpu``
+    (``make_decode_fn``)."""
 
     scripts = cfg.execute_external_scripts and cfg.render_js
 
@@ -398,7 +396,7 @@ def make_imgfetch_fn(backend: FetchBackend, dedup_handles: list):
 
 
 def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
-                   frontier_handles: list | None = None):
+                   frontier_handles: list):
     """imgref rows → decoded content doc + (if the pixel hash was not
     seen in any PRIOR wave, per the global DedupShard service) the image
     row; page rows pass through untouched. Output schema: UNIFIED
@@ -406,14 +404,12 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
     (``stage_many_keyed``) and resolved deterministically by ``ord`` at the
     wave barrier — see DedupShard's two-phase protocol.
 
-    With ``frontier_handles``, the batch's link rows are ALSO offered
-    to the frontier here (awaited with the CPU-holding wait): decode is
-    the last stage before the write sink, so the wave's write barrier
-    then implies every offer was processed — same exactness as a
-    separate post-wave offer pass, without a second pass per wave."""
-    _offer_inline = (
-        make_offer_fn(frontier_handles) if frontier_handles is not None else None
-    )
+    The batch's link rows are ALSO offered to ``frontier_handles``
+    here (awaited with the CPU-holding wait): decode is the last stage
+    before the write sink, so the wave's write barrier then implies
+    every offer was processed — same exactness as a separate post-wave
+    offer pass, without a second pass per wave."""
+    offer = make_offer_fn(frontier_handles)
 
     def _stamp_yyyymm(t: pa.Table) -> pa.Table:
         # monthly time-partition key on every persisted row (decode is
@@ -425,11 +421,9 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
 
     def decode(batch: pa.Table) -> pa.Table:
         ctx = _ctx_for(cfg)
-        if _offer_inline is not None:
-            link_mask = pc.equal(batch.column("kind"), "link")
-            links = batch.filter(link_mask)
-            if links.num_rows:
-                _offer_inline(links.select(["url", "host", "wave"]))
+        links = batch.filter(pc.equal(batch.column("kind"), "link"))
+        if links.num_rows:
+            offer(links.select(["url", "host", "wave"]))
         img_mask = pc.equal(batch.column("kind"), "imgref")
         passthrough = batch.filter(pc.invert(img_mask)).drop_columns(["body"])
         img_part = batch.filter(img_mask)

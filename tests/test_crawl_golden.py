@@ -535,8 +535,7 @@ def test_windowed_chunk_submit_matches_oracle(ray_session, corpus,
     split into more chunks than that window, so submission waits on
     finished chunks mid-wave; order, seen set and image set must still
     equal the oracle at the same settings. Simulated fetch latency
-    keeps tasks running long enough for the window to fill. Also pins
-    sync-checkpoint mode (async_checkpoint=False)."""
+    keeps tasks running long enough for the window to fill."""
     import glob
     import os
 
@@ -559,7 +558,7 @@ def test_windowed_chunk_submit_matches_oracle(ray_session, corpus,
     monkeypatch.setattr(crawl_mod, "_wave_chunk_task", CountingTask)
     cfg = CrawlConfig(output_dir="/tmp/pwc_golden_window", max_waves=100,
                       per_host_per_wave=6, wave_batch_size=1,
-                      simulate_latency=True, async_checkpoint=False)
+                      simulate_latency=True)
     shutil.rmtree(cfg.output_dir, ignore_errors=True)
     ora = run_oracle(corpus, cfg)
     res = crawl_mod.run_crawl(corpus, cfg, collect_seen_ids=True)

@@ -107,6 +107,29 @@ def test_http_naive_client_keeps_truncated_body(small_corpus, client_for):
     assert st[0] == 200 and bo[0] == body[:1000]
 
 
+def test_http_client_rotates_user_agents(small_corpus):
+    """Reference T2 (``ua.random`` per request), made reproducible:
+    every request carries the pool agent picked by (url, attempt), so
+    Range re-requests keep their attempt's agent and a retried 503
+    URL rotates."""
+    from collections import Counter
+
+    from playwrightcrawler_ray.functions.uapool import pick_user_agent
+
+    c, body = small_corpus
+    flaky = "http://a.test/flaky"
+    with CorpusHTTPServer(c) as srv:
+        HttpFetchClient(srv.addr, retries=3, backoff_base_s=0.001).lookup(
+            ["http://a.test/", "http://a.test/big.bin", flaky])
+    want = Counter({pick_user_agent("http://a.test/"): 1})
+    want[pick_user_agent("http://a.test/big.bin")] += len(body) // 1000 + 1
+    for attempt in range(3):  # 2 × 503, then 200
+        want[pick_user_agent(flaky, attempt)] += 1
+    assert srv.ua_counts == want
+    assert sum(want.values()) == srv.request_count
+    assert pick_user_agent(flaky, 0) != pick_user_agent(flaky, 1)
+
+
 @pytest.mark.parametrize("backend,addr", [("http", ""),
                                           ("htpp", "127.0.0.1:1")])
 def test_engine_rejects_an_unusable_fetch_backend(ray_session, small_corpus,

@@ -151,21 +151,6 @@ def test_ua_pool_rotation():
     assert max(counts.values()) < 600 * 0.5     # no degenerate skew
 
 
-def test_corpus_fetcher_actor_counts_uas(ray_session):
-    import pyarrow as pa
-    import ray as _ray
-
-    from playwrightcrawler_ray.stages.fetch import CorpusFetcher
-
-    ref = _ray.put({"https://a.test/": {
-        "status": 200, "content_type": "text/html", "body": b"<html></html>",
-        "redirect_to": ""}})
-    f = CorpusFetcher(ref)
-    out = f(pa.table({"url": ["https://a.test/", "https://b.test/x"]}))
-    assert out.column("status").to_pylist() == [200, 404]
-    assert sum(f.ua_counts.values()) == 2
-
-
 def test_wav_real_codec_roundtrip(ray_session):
     """Real RIFF/WAVE PCM decode: 16-bit mono round-trips exactly,
     stereo downmixes, 8-bit scales — and the AudioFeaturizer actor

@@ -1,6 +1,6 @@
 """Mirror of the driver's correctness gate: run each queries() entry
 and its oracle_sql() twin on the same parquet, compare row count,
-column names, and order-insensitive values."""
+column names, column dtype kinds and order-insensitive values."""
 
 from __future__ import annotations
 
@@ -11,7 +11,10 @@ import duckdb
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+import __ray_entry__  # noqa: E402
 
 SF_DIR = os.environ.get("PWC_TEST_SF", "/root/testdata/sf0.001")
 TABLES = [
@@ -20,12 +23,18 @@ TABLES = [
 ]
 
 
-def _duck(sql: str) -> pd.DataFrame:
+# every oracled op, read at collection time (no Ray session needed)
+ORACLE_SQL = __ray_entry__.oracle_sql()
+
+
+def _duck(sql: str, sf_dir: str = SF_DIR) -> pd.DataFrame:
+    """Run ``sql`` in DuckDB over whichever driver tables ``sf_dir``
+    holds."""
     con = duckdb.connect()
     for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM '{SF_DIR}/{t}.parquet'"
-        )
+        path = f"{sf_dir}/{t}.parquet"
+        if os.path.exists(path):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{path}'")
     return con.sql(sql).df()
 
 
@@ -58,69 +67,11 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-@pytest.fixture(scope="module")
-def entrymod(ray_session):
-    import __ray_entry__ as m
-
-    return m
-
-
-def _oracle_pairs():
-    import __ray_entry__ as m
-
-    qs, sqls = m.queries(), m.oracle_sql()
-    return sorted(sqls.keys()), qs
-
-
-# every oracle_sql() entry, pinned here so new oracled queries CANNOT
-# land untested: test_query_lists_are_complete fails if this list and
-# oracle_sql() drift apart in either direction.
-ORACLED = [
-    "pricing_summary", "top_customers", "orders_without_lineitem",
-    "region_nation_counts", "part_top3_by_brand", "events_by_type",
-    "events_hourly", "user_sessions", "events_ts_range",
-    "supplier_by_nation", "customer_segments",
-    "asof_join", "range_join", "bloom_semijoin",
-    "token_counts", "token_counts_bpe", "quality_signals",
-    "docs_gopher_quality", "docs_tfidf_topk",
-    "lang_distribution", "docs_by_source", "doc_exact_dedup",
-    "docs_token_quantiles", "docs_regex_scan", "docs_inverted_index",
-    "doc_sample", "docs_stratified_sample", "docs_per_source_cap",
-    "docs_split",
-    "docs_paragraph_dedup", "docs_dup_ngram_fraction",
-    "docs_substring_dedup",
-    "ngram_jaccard_top_pairs", "ann_topk", "embedding_neardup_pairs",
-    "dedup_components", "doc_neardup_dedup_exact", "docs_trainset_exact",
-    "events_rolling", "lineitem_rollup", "events_distinct_users",
-    "docs_decontaminate", "docs_decontaminate_join", "words_topk",
-    "docs_lm_perplexity", "docs_dsir_weights", "docs_ccnet_buckets",
-    "docs_trainset_decontam", "docs_trainset_pardedup",
-    "docs_pii_scrub", "docs_weighted_sample", "ann_topk_batch",
-    "lineitem_profile", "events_pivot", "words_edit_pairs",
-    "lineitem_price_quartiles", "lineitem_corr", "user_retention",
-]
-
-
-def test_query_lists_are_complete(entrymod):
-    """The driver-gate mirror must exercise EVERY queries() entry:
-    each oracled query is in ORACLED (value-compared vs DuckDB) and
-    each remaining query is rows-only-smoked below."""
-    qs, sqls = entrymod.queries(), entrymod.oracle_sql()
-    assert set(sqls) <= set(qs)
-    assert set(ORACLED) == set(sqls), (
-        set(ORACLED) ^ set(sqls))
-    # (the rows-only complement is covered structurally:
-    # test_rows_only_queries_run iterates queries() minus oracle_sql())
-
-
-@pytest.mark.parametrize("name", ORACLED)
-def test_query_matches_oracle(entrymod, name):
-    qs = entrymod.queries()
-    sqls = entrymod.oracle_sql()
-    got = qs[name](SF_DIR)
+def _assert_matches_oracle(got, want: pd.DataFrame) -> None:
+    """Same columns, same dtype kind per column, same rows in any
+    order (floats rounded by ``_normalize``)."""
     if not isinstance(got, pd.DataFrame):
         got = got.to_pandas()
-    want = _duck(sqls[name])
     kinds = {c: (_dtype_kind(got[c]), _dtype_kind(want[c]))
              for c in got.columns if c in want.columns}
     assert all(a == b for a, b in kinds.values()), {
@@ -131,15 +82,36 @@ def test_query_matches_oracle(entrymod, name):
     pd.testing.assert_frame_equal(g, w, check_dtype=False, atol=1e-9)
 
 
-def _rows_only_names(entrymod) -> list[str]:
-    """Every queries() entry without a SQL twin — derived, so a new
-    rows-only query is smoked automatically."""
-    return sorted(set(entrymod.queries()) - set(entrymod.oracle_sql()))
+@pytest.fixture(scope="module")
+def entrymod(ray_session):
+    return __ray_entry__
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SQL))
+def test_query_matches_oracle(entrymod, name):
+    got = entrymod.queries()[name](SF_DIR)
+    _assert_matches_oracle(got, _duck(ORACLE_SQL[name]))
+
+
+@pytest.mark.parametrize("sql,rows_only", [(None, ""), ("SELECT 1", "x")])
+def test_op_needs_exactly_one_of_sql_and_rows_only(sql, rows_only):
+    with pytest.raises(ValueError, match="exactly one"):
+        __ray_entry__.Op("bad", len, sql=sql, rows_only=rows_only)
+
+
+def test_op_names_are_unique_and_cover_bench():
+    """A duplicated name would silently drop an op from queries();
+    a renamed op would break bench.py's ops leg only at run time."""
+    import bench
+
+    names = [op.name for op in __ray_entry__.op_registry()]
+    assert len(names) == len(set(names))
+    assert set(bench.QUERY_NAMES + bench.BIG_QUERY_NAMES) <= set(names)
 
 
 def test_rows_only_queries_run(entrymod):
     qs = entrymod.queries()
-    for name in _rows_only_names(entrymod):
+    for name in sorted(set(qs) - set(ORACLE_SQL)):
         out = qs[name](SF_DIR)
         if not isinstance(out, pd.DataFrame):
             out = out.to_pandas()
@@ -151,7 +123,6 @@ def test_ngram_jaccard_edge_cases_match_oracle(ray_session, tmp_path):
     """Short docs (< w tokens) and irregular whitespace (runs, tabs,
     newlines) must score identically in the engine and the DuckDB
     oracle (ADVICE round 1: split()-vs-STRING_SPLIT divergence)."""
-    import duckdb
     import pyarrow.parquet as pq
     import pyarrow as pa
 
@@ -172,14 +143,9 @@ def test_ngram_jaccard_edge_cases_match_oracle(ray_session, tmp_path):
         ],
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    got = _normalize(q_ngram_jaccard_top_pairs(str(tmp_path)))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
-    )
-    want = _normalize(con.sql(sql_ngram_jaccard_top_pairs()).df())
-    assert len(got) == len(want)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False, atol=1e-9)
+    got = q_ngram_jaccard_top_pairs(str(tmp_path))
+    _assert_matches_oracle(
+        got, _duck(sql_ngram_jaccard_top_pairs(), str(tmp_path)))
     # docs 2 and 3 tokenize identically → jaccard 1.0 on both sides
     top = got.sort_values("jaccard", ascending=False).iloc[0]
     assert {int(top["doc_a"]), int(top["doc_b"])} == {2, 3}
@@ -191,7 +157,6 @@ def test_paragraph_dedup_edge_cases_match_oracle(ray_session, tmp_path):
     repeats, cross-doc repeats, a fully-deduplicated document (must
     vanish), a short last chunk, and the first-occurrence policy
     ordered by (doc_id, idx) — engine and DuckDB oracle identical."""
-    import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -213,14 +178,8 @@ def test_paragraph_dedup_edge_cases_match_oracle(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_paragraph_dedup(str(tmp_path), chunk_words=3)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
-    )
-    want = con.sql(sql_docs_paragraph_dedup(chunk_words=3)).df()
-    g, w = _normalize(got), _normalize(want)
-    assert len(g) == len(w)
-    pd.testing.assert_frame_equal(g, w, check_dtype=False)
+    _assert_matches_oracle(
+        got, _duck(sql_docs_paragraph_dedup(chunk_words=3), str(tmp_path)))
     by_id = {int(r.doc_id): r for r in got.itertuples()}
     assert 3 not in by_id                       # fully deduped doc gone
     assert by_id[1].text == f"{chunk} d e"      # within-doc repeat removed
@@ -236,7 +195,6 @@ def test_dup_ngram_fraction_edge_cases_match_oracle(ray_session, tmp_path):
     """Duplicate n-gram fraction on a hand-built corpus: sliding (not
     aligned) overlap, within-doc repetition, short docs (0 grams, row
     still present with dup_bp 0), and exact-integer basis points."""
-    import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -256,14 +214,9 @@ def test_dup_ngram_fraction_edge_cases_match_oracle(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_dup_ngram_fraction(str(tmp_path), w=3)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
-    )
-    want = con.sql(sql_docs_dup_ngram_fraction(w=3)).df()
-    g, w_ = _normalize(got), _normalize(want)
-    assert len(g) == len(w_) == 4
-    pd.testing.assert_frame_equal(g, w_, check_dtype=False)
+    assert len(got) == 4
+    _assert_matches_oracle(
+        got, _duck(sql_docs_dup_ngram_fraction(w=3), str(tmp_path)))
     by_id = {int(r.doc_id): r for r in got.itertuples()}
     assert by_id[1].n_grams == 4 and by_id[1].n_dup == 2   # abc, bcd
     assert by_id[1].dup_bp == 5000
@@ -683,9 +636,7 @@ def test_decontaminate_layouts_agree(entrymod):
     qs = entrymod.queries()
     a = qs["docs_decontaminate"](SF_DIR)
     b = qs["docs_decontaminate_join"](SF_DIR)
-    pd.testing.assert_frame_equal(a.reset_index(drop=True),
-                                  b.reset_index(drop=True),
-                                  check_dtype=False)
+    _assert_matches_oracle(a, b)
 
 
 def test_simhash_hamming_pairs_exact_vs_bruteforce(ray_session):
@@ -753,7 +704,6 @@ def test_pii_scrub_planted_edge_cases(ray_session, tmp_path):
     pass, not double-counted), and digit runs that must NOT match —
     engine and oracle identical, and the scrubbed text provably loses
     the literals."""
-    import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -774,13 +724,7 @@ def test_pii_scrub_planted_edge_cases(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_pii_scrub(str(tmp_path))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
-    )
-    want = con.sql(SQL_DOCS_PII_SCRUB).df()
-    g, w = _normalize(got), _normalize(want)
-    pd.testing.assert_frame_equal(g, w, check_dtype=False)
+    _assert_matches_oracle(got, _duck(SQL_DOCS_PII_SCRUB, str(tmp_path)))
     by_id = got.set_index("doc_id")
     assert by_id.loc[1, "n_email"] == 2
     assert by_id.loc[2, "n_ipv4"] == 2
@@ -812,7 +756,6 @@ def test_words_edit_pairs_planted_and_dp_fuzz(ray_session, tmp_path):
     double-edit, and beyond-radius words) must match the DuckDB
     levenshtein oracle exactly; the banded verify DP is fuzzed against
     a full reference DP."""
-    import duckdb
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -833,13 +776,7 @@ def test_words_edit_pairs_planted_and_dp_fuzz(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_words_edit_pairs(str(tmp_path))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
-    )
-    want = con.sql(sql_words_edit_pairs()).df()
-    g, w = _normalize(got), _normalize(want)
-    pd.testing.assert_frame_equal(g, w, check_dtype=False)
+    _assert_matches_oracle(got, _duck(sql_words_edit_pairs(), str(tmp_path)))
     gs = set(zip(got["word_a"], got["word_b"], got["dist"]))
     assert ("speling", "spelling", 1) in gs      # deletion
     assert ("spelling", "spellling", 1) in gs    # insertion
@@ -880,7 +817,6 @@ def test_lineitem_profile_planted_nulls(ray_session, tmp_path):
     exercises the null-accounting path — plant a parquet with partial
     nulls and one entirely-null profiled column (all-NaN min/max
     branch) and require exact engine/oracle agreement."""
-    import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -898,13 +834,7 @@ def test_lineitem_profile_planted_nulls(ray_session, tmp_path):
     })
     pq.write_table(tbl, str(tmp_path / "lineitem.parquet"))
     got = q_lineitem_profile(str(tmp_path))
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM '{tmp_path}/lineitem.parquet'"
-    )
-    want = con.sql(SQL_LINEITEM_PROFILE).df()
-    g, w = _normalize(got), _normalize(want)
-    pd.testing.assert_frame_equal(g, w, check_dtype=False)
+    _assert_matches_oracle(got, _duck(SQL_LINEITEM_PROFILE, str(tmp_path)))
     by = got.set_index("col")
     assert by.loc["l_quantity", "n_null"] == 2
     assert by.loc["l_discount", "n_null"] == 5
@@ -930,12 +860,7 @@ def test_user_groups_stay_within_rows_per_group(ray_session, monkeypatch):
         assert len(sizes) > analytics.MIN_BUCKETS
         assert sizes.sum() == ev.count()
         assert sizes.max() <= bound, (sf, sizes.max())
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM "
-                f"'{sf_small}/events.parquet'")
     for q, sql in ((analytics.q_user_sessions, analytics.SQL_USER_SESSIONS),
                    (analytics.q_events_rolling,
                     analytics.SQL_EVENTS_ROLLING)):
-        g = _normalize(q(sf_small))
-        w = _normalize(con.sql(sql).df())
-        pd.testing.assert_frame_equal(g, w, check_dtype=False)
+        _assert_matches_oracle(q(sf_small), _duck(sql, sf_small))
