@@ -633,10 +633,3 @@ def flac_decode(data: bytes) -> tuple[np.ndarray, int]:
     if out.min() < -lim or out.max() >= lim:
         raise FlacError("decoded sample exceeds bit depth")
     return (out[:, 0] if channels == 1 else out), rate
-
-
-def decode_flac_or_unavailable(data: bytes) -> tuple[np.ndarray, int]:
-    """Adapter for stages/multimodal.decode_audio: FlacError →
-    CodecUnavailable-compatible error taxonomy is NOT used here — a
-    malformed FLAC is a corrupt file, not a missing codec."""
-    return flac_decode(data)

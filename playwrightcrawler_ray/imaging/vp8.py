@@ -553,10 +553,6 @@ def _pred_16_or_8(mode, plane, py, px, size, mb_y, mb_x):
 
 # ------------------------------------------------------------- loop filter
 
-def _u2s(x):
-    return x.astype(np.int32) - 128
-
-
 def _s2u(x):
     return (np.clip(x, -128, 127) + 128).astype(np.uint8)
 

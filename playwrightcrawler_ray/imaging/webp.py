@@ -206,15 +206,6 @@ def _read_prefix_code(br: _LsbReader, alphabet_size: int) -> _Prefix:
     return _Prefix(lengths)
 
 
-def _prefix_value(br: _LsbReader, code: int) -> int:
-    """LZ77 length/distance prefix decoding (spec §"LZ77")."""
-    if code < 4:
-        return code + 1
-    extra = (code - 2) >> 1
-    offset = (2 + (code & 1)) << extra
-    return offset + br.read(extra) + 1
-
-
 def _decode_entropy_coded_image(br: _LsbReader, w: int, h: int,
                                 cache_bits: int,
                                 meta: np.ndarray | None,

@@ -30,21 +30,3 @@ def partial_grouped_agg(
         combine, batch_format="pandas", batch_size=None
     )
     return out.to_pandas()
-
-
-def sum_count_partial(keys: list[str], sums: list[str]):
-    """Standard partial: per-key COUNT + SUM columns. Returns
-    (build_partial, make_combine) where the final combine re-sums."""
-
-    def build(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(keys, as_index=False, sort=False).agg(
-            _n=(keys[0], "size"), **{c: (c, "sum") for c in sums}
-        )
-        return g
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(keys, as_index=False, sort=False).agg(
-            _n=("_n", "sum"), **{c: (c, "sum") for c in sums}
-        )
-
-    return build, combine

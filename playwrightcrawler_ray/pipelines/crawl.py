@@ -3,14 +3,18 @@ chunk, with per-wave checkpoints.
 
 Replaces the reference's process loop (`main`/`crawler`,
 playwrightcrawler.py:5345-5414): instead of N lock-coordinated OS
-processes polling Elasticsearch, one logical job alternates
+processes polling Elasticsearch, one logical job passes each wave
+through the barriers of ``CrawlEngine.run``, in order:
 
-    step the sharded frontier actors: each pops, keeps back what the
-      wave's strategy plan cannot select, returns the rest
-    → strategy on the merged rows, push back what it did not select
-    → chunk tasks: fetch → parse(+offer links) → imgfetch → decode(+dedup)
-      → one parquet file per chunk under partition ``wave=K``
-    → checkpoint frontier + dedup shards
+    _select: step the sharded frontier actors (each pops, keeps back
+      what the wave's strategy plan cannot select, returns the rest),
+      run the strategy on the merged rows, push back what it left
+    → _run_chunks: fetch → parse(+offer links) → imgfetch →
+      decode(+dedup claims), one parquet file per chunk under ``wave=K``
+    → _commit: the dedup shards commit the wave's claims; conflict
+      losers are tombstoned
+    → _log_order: the wave's URLs to an immutable order log
+    → _checkpoint: frontier + dedup shards
 
 Within a wave the chunk tasks run in parallel, at most ``4 × cluster
 CPUs`` in flight; each runs the fused chain of pyarrow batch functions
@@ -52,6 +56,7 @@ import os
 import shutil
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from urllib.parse import urlsplit
@@ -110,7 +115,6 @@ class CrawlResult:
     files directly)."""
 
     waves: int = 0
-    pages_written: int = 0
     output_dir: str = ""
     stats: dict = field(default_factory=dict)
     wave_log: list[dict] = field(default_factory=list)
@@ -126,6 +130,30 @@ class CrawlResult:
 
     def seen_ids(self) -> set[int]:
         return set(self.stats.get("seen_ids", []))
+
+
+@dataclass
+class _RunState:
+    """What the wave loop carries from wave to wave. ``_init_run_state``
+    builds it at the start of a run and after actor-loss recovery."""
+
+    start_wave: int = 0
+    wave: int = 0
+    wave_log: list[dict] = field(default_factory=list)
+    order_files: list[str] = field(default_factory=list)
+    pages_fetched: int = 0
+    empty_streak: int = 0
+
+    def add_wave(self, order_file: str, record: dict) -> None:
+        self.wave_log.append(record)
+        self.order_files.append(order_file)
+        self.pages_fetched += record["urls"]
+
+    def advance(self, selected: bool) -> bool:
+        """Step to the next wave; False after 65 empty waves in a row."""
+        self.wave += 1
+        self.empty_streak = 0 if selected else self.empty_streak + 1
+        return self.empty_streak <= 64
 
 
 def _seed_offers(seeds: list[str], cfg: CrawlConfig, ctx_policy) -> list[tuple]:
@@ -161,6 +189,8 @@ class CrawlEngine:
         self._spawn_fleet(self.cfg.num_frontier_shards or derived,
                           self.cfg.num_seen_shards or derived)
         self.actor_recoveries = 0
+        self._inflight: list = []  # submitted, unfinished chunk refs
+        self._spans: dict[str, tuple[float, float]] = {}  # by _barrier
         from ..corpus.store import put_corpus_index
 
         # the corpus index is put once per engine, so a worker's fetch
@@ -200,13 +230,18 @@ class CrawlEngine:
         # robots preload: "fetched once per host through the corpus
         # interface", cached on the owning shard (north-rule robots cache)
         if self.cfg.respect_robots and self.corpus.robots:
-            by_shard: dict[int, list] = {}
-            for host, text in self.corpus.robots.items():
-                by_shard.setdefault(
-                    shard_of(host, len(self.shards)), []
-                ).append((host, text))
-            ray.get([self.shards[s].set_robots.remote(items)
-                     for s, items in by_shard.items()])
+            self._route("set_robots", self.corpus.robots.items(), 0)
+
+    def _route(self, method: str, items, host_at: int) -> None:
+        """Call frontier ``method`` once per shard, with the items it owns."""
+        by_shard: dict[int, list] = {}
+        for it in items:
+            by_shard.setdefault(
+                shard_of(it[host_at], len(self.shards)), []
+            ).append(it)
+        if by_shard:  # even an empty ray.get cost ~70 µs in the wave loop
+            ray.get([getattr(self.shards[s], method).remote(v)
+                     for s, v in by_shard.items()])
 
     # --- actor-loss recovery (VERDICT r4 item 5) ---
 
@@ -227,11 +262,9 @@ class CrawlEngine:
         (the wave loop is deterministic, so the replay reproduces the
         uninterrupted run exactly). Returns False when no actor is
         actually dead — the failure was something else; re-raise it."""
-        revived = 0
-        for a in (*self.shards, *self.dedup):
-            if not self._alive(a):
-                revived += 1
-        if revived == 0:
+        fleet = (*self.shards, *self.dedup)
+        alive = [self._alive(a) for a in fleet]
+        if all(alive):
             return False
         # the background checkpoint thread may hold blob refs owned by
         # a dead actor — join and swallow; we rewind past it anyway
@@ -245,30 +278,18 @@ class CrawlEngine:
         # is best-effort): their in-band dedup claims / frontier offers
         # must land on KILLED handles and fail harmlessly rather than
         # mutate the restored state of a surviving shard mid-rewind.
-        for i, a in enumerate(self.shards):
-            if self._alive(a):
+        for a, ok in zip(fleet, alive):
+            if ok:
                 ray.kill(a, no_restart=True)
-            self.shards[i] = self._make_frontier(i, len(self.shards))
-        for i, a in enumerate(self.dedup):
-            if self._alive(a):
-                ray.kill(a, no_restart=True)
-            self.dedup[i] = self._make_dedup(i, len(self.dedup))
+        self._spawn_fleet(len(self.shards), len(self.dedup))
         # (with no published checkpoint the caller's _init_run_state
         # finds nothing to restore and restarts from seeds — correct
         # for death before the first barrier, since the fleet is fresh)
         self._seed_robots()  # fresh shards need rules; restore overwrites
-        self.actor_recoveries += revived
+        self.actor_recoveries += alive.count(False)
         return True
 
     # --- frontier plumbing ---
-
-    def _offer(self, items: list[tuple]) -> None:
-        by_shard: dict[int, list] = {}
-        for it in items:
-            by_shard.setdefault(
-                shard_of(it[2], len(self.shards)), []
-            ).append(it)
-        ray.get([self.shards[s].offer.remote(v) for s, v in by_shard.items()])
 
     def _pop_merged(
         self, wave: int
@@ -288,14 +309,7 @@ class CrawlEngine:
         return candidates, sum(p[2] for p in parts)
 
     def _push_back(self, leftover: list[tuple[int, str, str]]) -> None:
-        if not leftover:
-            return
-        by_shard: dict[int, list] = {}
-        for cand in leftover:
-            by_shard.setdefault(
-                shard_of(cand[2], len(self.shards)), []
-            ).append(cand)
-        ray.get([self.shards[s].push_back.remote(v) for s, v in by_shard.items()])
+        self._route("push_back", leftover, 2)
 
     # --- checkpointing (per-partition: one blob per shard per wave) ---
 
@@ -389,58 +403,30 @@ class CrawlEngine:
                 ray.kill(a, no_restart=True)
             self._spawn_fleet(n_frontier, n_dedup)
         futs = []
-        for i, s in enumerate(self.shards):
-            with open(os.path.join(ckdir, f"frontier_{i:03d}.bin"), "rb") as f:
-                futs.append(s.restore.remote(f.read()))
-        for i, d in enumerate(self.dedup):
-            with open(os.path.join(ckdir, f"dedup_{i:03d}.bin"), "rb") as f:
-                futs.append(d.restore.remote(f.read()))
+        for kind, fleet in (("frontier", self.shards), ("dedup", self.dedup)):
+            for i, a in enumerate(fleet):
+                with open(os.path.join(ckdir, f"{kind}_{i:03d}.bin"), "rb") as f:
+                    futs.append(a.restore.remote(f.read()))
         ray.get(futs)
         return meta
 
     # --- the wave loop ---
 
-    def _build_stage_fns(self):
-        """The four wave-stage closures. Rebuilt after actor-loss
-        recovery — they capture frontier/dedup actor handles, and the
-        recovered fleet has new ones."""
-        return (make_fetch_fn(self.backend),
-                make_parse_fn(self.cfg, self.backend),
-                make_imgfetch_fn(self.backend, self.dedup),
-                make_decode_fn(self.cfg, self.dedup, self.shards))
-
-    def _init_run_state(self, resume: bool) -> tuple[int, list, list, int]:
-        """(start_wave, wave_log, order_files, pages_fetched) — shared
-        by resume-at-start and mid-run actor-loss recovery. With
-        ``resume`` the shard fleet is restored from the last published
-        checkpoint and outputs beyond it are cleared for replay; with
-        no checkpoint (or ``resume=False``) the run starts from seeds."""
+    def _init_run_state(self, resume: bool) -> _RunState:
+        """Shared by resume-at-start and mid-run actor-loss recovery.
+        With ``resume`` the shard fleet is restored from the last
+        published checkpoint and outputs beyond it are cleared for
+        replay; with no checkpoint (or ``resume=False``) the run starts
+        from seeds. Puts the stage closures, which hold the fleet's handles."""
         cfg = self.cfg
-        os.makedirs(cfg.output_dir, exist_ok=True)
         order_dir = os.path.join(cfg.output_dir, "order")
         os.makedirs(order_dir, exist_ok=True)
-        order_files: list[str] = []
-        pages_fetched = 0
-        wave_log: list[dict] = []
-        start_wave = 0
         meta = self.restore_latest_checkpoint() if resume else None
-        if meta is not None:
-            wave_log = list(meta["wave_log"])
-            start_wave = meta["wave"] + 1
-            # wave outputs and order logs beyond the checkpoint are
-            # replayed — clear them so nothing can duplicate
-            for d in glob.glob(os.path.join(cfg.output_dir, "wave=*")):
-                if int(d.rsplit("=", 1)[1]) >= start_wave:
-                    shutil.rmtree(d, ignore_errors=True)
-            for p in sorted(glob.glob(os.path.join(order_dir, "wave=*.txt"))):
-                w = int(os.path.basename(p)[5:10])
-                if w >= start_wave:
-                    os.remove(p)
-                else:
-                    order_files.append(p)
-                    with open(p) as f:
-                        pages_fetched += sum(1 for _ in f)
-        else:
+        self._fns_ref = ray.put((make_fetch_fn(self.backend),
+                                 make_parse_fn(cfg, self.backend),
+                                 make_imgfetch_fn(self.backend, self.dedup),
+                                 make_decode_fn(cfg, self.dedup, self.shards)))
+        if meta is None:
             shutil.rmtree(order_dir, ignore_errors=True)
             os.makedirs(order_dir, exist_ok=True)
             if not resume:
@@ -450,185 +436,198 @@ class CrawlEngine:
                 # silently restore another run's frontier/dedup state
                 shutil.rmtree(os.path.join(cfg.output_dir, "checkpoints"),
                               ignore_errors=True)
-            self._offer(_seed_offers(self.corpus.seeds, cfg, self._pctx.policy))
-        return start_wave, wave_log, order_files, pages_fetched
+            seeds = _seed_offers(self.corpus.seeds, cfg, self._pctx.policy)
+            self._route("offer", seeds, 2)
+            return _RunState()
+        start = meta["wave"] + 1
+        st = _RunState(start, start, list(meta["wave_log"]))
+        # wave outputs and order logs beyond the checkpoint are
+        # replayed — clear them so nothing can duplicate
+        for d in glob.glob(os.path.join(cfg.output_dir, "wave=*")):
+            if int(d.rsplit("=", 1)[1]) >= st.start_wave:
+                shutil.rmtree(d, ignore_errors=True)
+        for p in sorted(glob.glob(os.path.join(order_dir, "wave=*.txt"))):
+            if int(os.path.basename(p)[5:10]) >= st.start_wave:
+                os.remove(p)
+            else:
+                st.order_files.append(p)
+                with open(p) as f:
+                    st.pages_fetched += sum(1 for _ in f)
+        return st
 
     def run(self, resume: bool = False, max_waves: int | None = None,
             collect_seen_ids: bool = False) -> CrawlResult:
-        cfg = self.cfg
-        order_dir = os.path.join(cfg.output_dir, "order")
-        start_wave, wave_log, order_files, pages_fetched = \
-            self._init_run_state(resume)
-
-        fns_ref = ray.put(self._build_stage_fns())
-        limit = max_waves if max_waves is not None else cfg.max_waves
-        # chunk tasks in flight at once: bounds queued chunk inputs and
-        # refs by cluster size, not by wave size
-        window = 4 * self.ncpu
-
-        t0 = time.perf_counter()
-        wave = start_wave
-        empty_streak = 0
+        """The wave loop: each wave passes its barriers in order, each
+        through ``_barrier``; actor loss rewinds to the last checkpoint."""
+        limit = max_waves if max_waves is not None else self.cfg.max_waves
+        st = self._init_run_state(resume)
         recoveries = 0
-        inflight: list = []  # submitted, unfinished chunk refs (for cancel)
-        while wave < limit:
+        t0 = time.perf_counter()
+        while st.wave < limit:
+            wave = st.wave
             try:
-                candidates, queued = self._pop_merged(wave)
-                if queued == 0:
+                picked = self._barrier("select", self._select, wave)
+                if picked is None:  # every shard's queue is empty
                     break
-                selected = []
-                if queued is None:  # some shard popped: run the strategy
-                    rng = wave_rng(cfg.seed, wave)
-                    strategy = choose_strategy(rng, cfg.method_weights)
-                    selected, leftover = apply_strategy(
-                        strategy, candidates, cfg.wave_size, rng,
-                        cfg.reproduce_reference_bugs,
-                    )
-                    self._push_back(leftover)
-                if not selected:
-                    wave += 1
-                    empty_streak += 1
-                    if empty_streak > 64:
-                        break
-                    continue
-                empty_streak = 0
-                urls = [u for _, u, _ in selected]
-                hosts = [h for _, _, h in selected]
-
-                tw = time.perf_counter()
-                tbl = pa.table(
-                    {
-                        "url": pa.array(urls, pa.string()),
-                        "host": pa.array(hosts, pa.string()),
-                        "wave": pa.array([wave] * len(urls), pa.int32()),
-                        # lineage ord: position in the wave's selected order
-                        "ord": pa.array(range(len(urls)), pa.int64()),
-                    }
-                )
-                # Adaptive chunk size: small waves shrink the chunk so
-                # every CPU gets ~4 tasks of slack (a 1k-URL wave at 256
-                # is only 4 tasks — idle cores on an 8-CPU cluster);
-                # large waves cap at wave_batch_size.
-                bs = min(cfg.wave_batch_size,
-                         max(32, -(-len(urls) // (self.ncpu * 4))))
-                wave_dir = os.path.join(cfg.output_dir, f"wave={wave:05d}")
-                shutil.rmtree(wave_dir, ignore_errors=True)
-                os.makedirs(wave_dir, exist_ok=True)
-                # link offers + dedup claims happen INSIDE the decode stage
-                # (awaited per batch) — the write barrier (all chunk tasks
-                # done) therefore means: every link row is durable AND
-                # offered, every dedup claim staged.
-                for i, start in enumerate(range(0, len(urls), bs)):
-                    if len(inflight) >= window:
-                        done, inflight = ray.wait(inflight, num_returns=1)
-                        ray.get(done)  # surface a failed chunk now
-                    inflight.append(_wave_chunk_task.remote(
-                        [fns_ref], tbl.slice(start, bs),
-                        os.path.join(wave_dir, f"part-{i:05d}.parquet"),
-                    ))
-                ray.get(inflight)
-                inflight = []
-                t_write = time.perf_counter()
-                conflicts: list[tuple[int, list[int]]] = []
-                for part in ray.get([d.commit_wave.remote() for d in self.dedup]):
-                    conflicts.extend(part)
-                if conflicts:
-                    # rare-ish (stage_many_keyed prunes sure losers): the
-                    # shards reported every kept claimant's ord, so loser
-                    # ords are computed locally and only the files holding
-                    # them are rewritten — no scan, bytes never re-read
-                    full_l, img_l = _loser_ords(conflicts)
-                    if full_l or img_l:
-                        _write_tombstones(wave_dir, full_l, img_l)
-                t_fixup = time.perf_counter()
-                # append-only order log: one immutable file per wave
-                opath = os.path.join(order_dir, f"wave={wave:05d}.txt")
-                with open(opath + ".tmp", "w") as f:
-                    f.write("".join(u + "\n" for u in urls))
-                os.rename(opath + ".tmp", opath)
-                order_files.append(opath)
-                pages_fetched += len(urls)
-                wave_log.append(
-                    {
-                        "wave": wave,
-                        "strategy": strategy,
-                        "urls": len(urls),
-                        "sec": round(time.perf_counter() - tw, 4),
-                        "pipeline_sec": round(t_write - tw, 4),
-                        "fixup_sec": round(t_fixup - t_write, 4),
-                        "conflicts": len(conflicts),
-                    }
-                )
-                if wave % cfg.checkpoint_every == 0:
-                    self._checkpoint(wave, wave_log)
-                wave += 1
-
+                strategy, selected = picked
+                if selected:
+                    wave_dir = self._barrier("chunks", self._run_chunks,
+                                             wave, selected)
+                    conflicts = self._barrier("commit", self._commit, wave_dir)
+                    opath = self._barrier("log_order", self._log_order, wave,
+                                          [u for _, u, _ in selected])
+                    st.add_wave(opath, self._wave_record(
+                        wave, strategy, len(selected), conflicts))
+                    if wave % self.cfg.checkpoint_every == 0:
+                        self._barrier("checkpoint", self._checkpoint,
+                                      wave, st.wave_log)
+                if not st.advance(bool(selected)):
+                    break
             except Exception:
-                # actor-loss recovery (VERDICT r4 item 5): a dead
-                # frontier/dedup shard surfaces as RayActorError — from
-                # a driver RPC directly, or wrapped in a RayTaskError
-                # from inside a chunk task.
-                # Probe-and-recover is authoritative: if no shard is
-                # actually dead, this was a different failure — re-raise.
-                # First: cancel + drain this wave's sibling chunk tasks
-                # so orphans can't keep staging claims / offers / part
-                # files against the state the recovery rewinds (the
-                # fleet is also fully recreated, which fences any task
-                # cancellation misses at the actor boundary).
-                if inflight:
-                    for r in inflight:
-                        try:
-                            ray.cancel(r, force=True)
-                        except Exception:
-                            pass
-                    ray.wait(inflight, num_returns=len(inflight), timeout=10)
-                    inflight = []
+                # actor-loss recovery (VERDICT r4 item 5): a dead shard
+                # surfaces as RayActorError, from a driver RPC or inside
+                # a chunk task. If the probe finds no dead shard, this
+                # was a different failure — re-raise.
+                self._cancel_chunks()
                 if recoveries >= 3 or not self._recover_from_actor_loss():
                     raise
                 recoveries += 1
-                start_wave, wave_log, order_files, pages_fetched = \
-                    self._init_run_state(resume=True)
-                wave = start_wave
-                empty_streak = 0
-                # stage closures hold handles to the dead fleet
-                fns_ref = ray.put(self._build_stage_fns())
-                continue
+                st = self._init_run_state(resume=True)
         self._join_checkpoint()  # final checkpoint durable before return
-        elapsed = time.perf_counter() - t0
-        fstats = ray.get([s.stats.remote() for s in self.shards])
-        agg = {}
-        for st in fstats:
-            for k, v in st.items():
+        return self._result(st, time.perf_counter() - t0, collect_seen_ids)
+
+    # --- the barriers, in wave order ---
+
+    def _barrier(self, name: str, fn, *args):
+        """Run one barrier of the wave loop and keep its (start, end)
+        ``perf_counter`` times under ``name`` — the loop's one clock."""
+        t = time.perf_counter()
+        out = fn(*args)
+        self._spans[name] = (t, time.perf_counter())
+        return out
+
+    def _select(self, wave: int) -> tuple[str | None, list] | None:
+        """Step the frontier, run the wave's strategy on the merged
+        candidates and push back what it leaves. Returns ``(strategy,
+        selected)`` (nothing selected for an empty wave), or None once
+        every shard's queue is empty."""
+        cfg = self.cfg
+        candidates, queued = self._pop_merged(wave)
+        if queued is not None:  # no shard popped anything
+            return None if queued == 0 else (None, [])
+        rng = wave_rng(cfg.seed, wave)
+        strategy = choose_strategy(rng, cfg.method_weights)
+        selected, leftover = apply_strategy(strategy, candidates, cfg.wave_size,
+                                            rng, cfg.reproduce_reference_bugs)
+        self._push_back(leftover)
+        return strategy, selected
+
+    def _run_chunks(self, wave: int, selected: list[tuple[int, str, str]]) -> str:
+        """Run the wave's chunk tasks, at most ``4 × cluster CPUs`` in
+        flight, and return the wave's output dir once all are done. Link
+        offers + dedup claims happen INSIDE the decode stage (awaited per
+        batch), so this barrier means: every link row is durable AND
+        offered, every dedup claim staged."""
+        _, urls, hosts = zip(*selected)
+        tbl = pa.table({
+            "url": pa.array(urls, pa.string()),
+            "host": pa.array(hosts, pa.string()),
+            "wave": pa.array([wave] * len(urls), pa.int32()),
+            # lineage ord: position in the wave's selected order
+            "ord": pa.array(range(len(urls)), pa.int64()),
+        })
+        # adaptive chunk size: small waves shrink the chunk so every CPU
+        # gets ~4 tasks of slack; large waves cap at wave_batch_size
+        bs = min(self.cfg.wave_batch_size,
+                 max(32, -(-len(urls) // (self.ncpu * 4))))
+        wave_dir = os.path.join(self.cfg.output_dir, f"wave={wave:05d}")
+        shutil.rmtree(wave_dir, ignore_errors=True)
+        os.makedirs(wave_dir, exist_ok=True)
+        for i, start in enumerate(range(0, len(urls), bs)):
+            if len(self._inflight) >= 4 * self.ncpu:
+                done, self._inflight = ray.wait(self._inflight, num_returns=1)
+                ray.get(done)  # surface a failed chunk now
+            self._inflight.append(_wave_chunk_task.remote(
+                [self._fns_ref], tbl.slice(start, bs),
+                os.path.join(wave_dir, f"part-{i:05d}.parquet"),
+            ))
+        ray.get(self._inflight)
+        self._inflight = []
+        return wave_dir
+
+    def _cancel_chunks(self) -> None:
+        """Cancel + drain the failed wave's chunk tasks, so orphans can't
+        stage claims / offers / part files against the state recovery
+        rewinds (the recreated fleet fences off any a cancel misses)."""
+        for r in self._inflight:
+            with suppress(Exception):
+                ray.cancel(r, force=True)
+        ray.wait(self._inflight, num_returns=len(self._inflight), timeout=10)
+        self._inflight = []
+
+    def _commit(self, wave_dir: str) -> int:
+        """Commit every dedup shard's staged claims and tombstone the
+        conflict losers. Returns the number of conflicted hashes."""
+        conflicts = list(chain.from_iterable(
+            ray.get([d.commit_wave.remote() for d in self.dedup])))
+        if conflicts:
+            # rare-ish (stage_many_keyed prunes sure losers): the shards
+            # reported every kept claimant's ord, so loser ords are
+            # computed locally and go to a tombstone sidecar — no scan,
+            # no parquet file rewritten
+            full_l, img_l = _loser_ords(conflicts)
+            if full_l or img_l:
+                _write_tombstones(wave_dir, full_l, img_l)
+        return len(conflicts)
+
+    def _log_order(self, wave: int, urls: list[str]) -> str:
+        """Append-only order log: one immutable file per wave."""
+        opath = os.path.join(self.cfg.output_dir, "order",
+                             f"wave={wave:05d}.txt")
+        with open(opath + ".tmp", "w") as f:
+            f.write("".join(u + "\n" for u in urls))
+        os.rename(opath + ".tmp", opath)
+        return opath
+
+    def _wave_record(self, wave: int, strategy: str, urls: int,
+                     conflicts: int) -> dict:
+        """The wave's ``wave_log`` entry: ``sec`` spans chunks through
+        order log, ``pipeline_sec`` the chunks, ``fixup_sec`` the commit."""
+        (c0, c1), (f0, f1) = self._spans["chunks"], self._spans["commit"]
+        return {"wave": wave, "strategy": strategy, "urls": urls,
+                "sec": round(self._spans["log_order"][1] - c0, 4),
+                "pipeline_sec": round(c1 - c0, 4),
+                "fixup_sec": round(f1 - f0, 4), "conflicts": conflicts}
+
+    def _result(self, st: _RunState, elapsed: float,
+                collect_seen_ids: bool) -> CrawlResult:
+        agg: dict = {}
+        for part in ray.get([s.stats.remote() for s in self.shards]):
+            for k, v in part.items():
                 if k == "max_host_queue":
                     agg[k] = max(agg.get(k, 0), v)
                 else:
                     agg[k] = agg.get(k, 0) + v
+        ops = agg.get("offered", 0) + agg.get("popped", 0)
         result = CrawlResult(
-            waves=wave - start_wave,
-            output_dir=cfg.output_dir,
-            wave_log=wave_log,
-            order_files=order_files,
+            waves=st.wave - st.start_wave, output_dir=self.cfg.output_dir,
+            wave_log=st.wave_log, order_files=st.order_files,
             stats={
                 "elapsed_sec": elapsed,
-                "pages_fetched": pages_fetched,
-                "pages_per_sec": pages_fetched / elapsed if elapsed > 0 else 0.0,
+                "pages_fetched": st.pages_fetched,
+                "pages_per_sec": (st.pages_fetched / elapsed
+                                  if elapsed > 0 else 0.0),
                 "frontier": agg,
-                "frontier_ops": agg.get("offered", 0) + agg.get("popped", 0),
-                "frontier_ops_per_sec": (
-                    (agg.get("offered", 0) + agg.get("popped", 0)) / elapsed
-                    if elapsed > 0
-                    else 0.0
-                ),
+                "frontier_ops": ops,
+                "frontier_ops_per_sec": ops / elapsed if elapsed > 0 else 0.0,
             },
         )
         if collect_seen_ids and self.seen_mode == "exact":
             # test/verification mode ONLY: gathering the full seen set to
             # the driver is O(pages) memory — the golden suite's
             # set-equality check, never the production path
-            seen = set()
-            for items in ray.get([s.seen_items.remote() for s in self.shards]):
-                seen.update(items)
-            result.stats["seen_ids"] = seen
+            result.stats["seen_ids"] = set().union(
+                *ray.get([s.seen_items.remote() for s in self.shards]))
         return result
 
 

@@ -160,11 +160,6 @@ class FrontierShard:
             self.counters[k] += v
         return delta
 
-    def mark_seen(self, id64s: list[int]) -> int:
-        """Pre-mark URLs as seen without queueing (e.g. error terminal
-        states). Returns how many were new."""
-        return sum(self.seen.add_if_absent(int(h)) for h in id64s)
-
     # --- pops ---
 
     def pop_candidates(

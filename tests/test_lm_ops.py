@@ -23,6 +23,8 @@ from playwrightcrawler_ray.ops.lm import (
     sql_docs_lm_perplexity,
 )
 
+from oracle_compare import assert_matches_oracle
+
 EDGE_DOCS = [
     # ref slice (doc_id % 3 == 0): the LM training corpus
     (0, "the cat sat on the mat the cat ran"),
@@ -67,24 +69,18 @@ def _oracle(edge_sf: str, sql: str) -> pd.DataFrame:
 def test_lm_perplexity_edges_match_oracle(ray_session, edge_sf):
     got = q_docs_lm_perplexity(edge_sf, ref_mod=3)
     want = _oracle(edge_sf, sql_docs_lm_perplexity(ref_mod=3))
-    want = want.sort_values("doc_id").reset_index(drop=True)[got.columns]
-    for c in want.columns:
-        want[c] = want[c].astype("int64")
     # sub-bigram and empty docs produce NO row on either side
     assert set(got["doc_id"]) == set(want["doc_id"])
     assert 4 not in set(got["doc_id"]) and 5 not in set(got["doc_id"])
     assert 0 not in set(got["doc_id"])          # ref slice never scored
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert_matches_oracle(got, want)
 
 
 def test_lm_dsir_edges_match_oracle(ray_session, edge_sf):
     got = q_docs_dsir_weights(edge_sf, ref_mod=3)
     want = _oracle(edge_sf, sql_docs_dsir_weights(ref_mod=3))
-    want = want.sort_values("doc_id").reset_index(drop=True)[got.columns]
-    for c in want.columns:
-        want[c] = want[c].astype("int64")
     assert set(got["doc_id"]) <= {2, 5, 8, 11}   # only % 3 >= 2 scored
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert_matches_oracle(got, want)
 
 
 def test_ccnet_buckets_edges_match_oracle(ray_session, edge_sf):
@@ -95,10 +91,7 @@ def test_ccnet_buckets_edges_match_oracle(ray_session, edge_sf):
 
     got = q_docs_ccnet_buckets(edge_sf, ref_mod=3)
     want = _oracle(edge_sf, sql_docs_ccnet_buckets(ref_mod=3))
-    want = want.sort_values("doc_id").reset_index(drop=True)[got.columns]
-    for c in ("doc_id", "avg_nll_micro", "bucket"):
-        want[c] = want[c].astype("int64")
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert_matches_oracle(got, want)
     # tercile rule: within each language, buckets are rank-balanced
     for _, g in got.groupby("lang"):
         counts = g["bucket"].value_counts()

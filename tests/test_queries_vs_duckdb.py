@@ -15,6 +15,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 import __ray_entry__  # noqa: E402
+from oracle_compare import assert_matches_oracle  # noqa: E402
 
 SF_DIR = os.environ.get("PWC_TEST_SF", "/root/testdata/sf0.001")
 TABLES = [
@@ -38,50 +39,6 @@ def _duck(sql: str, sf_dir: str = SF_DIR) -> pd.DataFrame:
     return con.sql(sql).df()
 
 
-def _dtype_kind(s: pd.Series) -> str:
-    """The dtype family a column must share with its oracle twin:
-    float width may differ (float32 vs float64), the kind may not."""
-    t = s.dtype
-    if pd.api.types.is_bool_dtype(t):
-        return "bool"
-    if pd.api.types.is_integer_dtype(t):
-        return "integer"
-    if pd.api.types.is_float_dtype(t):
-        return "float"
-    if pd.api.types.is_datetime64_any_dtype(t):
-        return "datetime"
-    if pd.api.types.is_string_dtype(t) or pd.api.types.is_object_dtype(t):
-        return "string/object"
-    return str(t)
-
-
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].round(4)
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-        if pd.api.types.is_datetime64_any_dtype(df[c]):
-            df[c] = df[c].astype("datetime64[us]")
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-def _assert_matches_oracle(got, want: pd.DataFrame) -> None:
-    """Same columns, same dtype kind per column, same rows in any
-    order (floats rounded by ``_normalize``)."""
-    if not isinstance(got, pd.DataFrame):
-        got = got.to_pandas()
-    kinds = {c: (_dtype_kind(got[c]), _dtype_kind(want[c]))
-             for c in got.columns if c in want.columns}
-    assert all(a == b for a, b in kinds.values()), {
-        c: k for c, k in kinds.items() if k[0] != k[1]}
-    g, w = _normalize(got), _normalize(want)
-    assert list(g.columns) == list(w.columns), (g.columns, w.columns)
-    assert len(g) == len(w), (len(g), len(w))
-    pd.testing.assert_frame_equal(g, w, check_dtype=False, atol=1e-9)
-
-
 @pytest.fixture(scope="module")
 def entrymod(ray_session):
     return __ray_entry__
@@ -90,7 +47,7 @@ def entrymod(ray_session):
 @pytest.mark.parametrize("name", sorted(ORACLE_SQL))
 def test_query_matches_oracle(entrymod, name):
     got = entrymod.queries()[name](SF_DIR)
-    _assert_matches_oracle(got, _duck(ORACLE_SQL[name]))
+    assert_matches_oracle(got, _duck(ORACLE_SQL[name]))
 
 
 @pytest.mark.parametrize("sql,rows_only", [(None, ""), ("SELECT 1", "x")])
@@ -144,7 +101,7 @@ def test_ngram_jaccard_edge_cases_match_oracle(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_ngram_jaccard_top_pairs(str(tmp_path))
-    _assert_matches_oracle(
+    assert_matches_oracle(
         got, _duck(sql_ngram_jaccard_top_pairs(), str(tmp_path)))
     # docs 2 and 3 tokenize identically → jaccard 1.0 on both sides
     top = got.sort_values("jaccard", ascending=False).iloc[0]
@@ -178,7 +135,7 @@ def test_paragraph_dedup_edge_cases_match_oracle(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_paragraph_dedup(str(tmp_path), chunk_words=3)
-    _assert_matches_oracle(
+    assert_matches_oracle(
         got, _duck(sql_docs_paragraph_dedup(chunk_words=3), str(tmp_path)))
     by_id = {int(r.doc_id): r for r in got.itertuples()}
     assert 3 not in by_id                       # fully deduped doc gone
@@ -215,7 +172,7 @@ def test_dup_ngram_fraction_edge_cases_match_oracle(ray_session, tmp_path):
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_dup_ngram_fraction(str(tmp_path), w=3)
     assert len(got) == 4
-    _assert_matches_oracle(
+    assert_matches_oracle(
         got, _duck(sql_docs_dup_ngram_fraction(w=3), str(tmp_path)))
     by_id = {int(r.doc_id): r for r in got.itertuples()}
     assert by_id[1].n_grams == 4 and by_id[1].n_dup == 2   # abc, bcd
@@ -636,7 +593,7 @@ def test_decontaminate_layouts_agree(entrymod):
     qs = entrymod.queries()
     a = qs["docs_decontaminate"](SF_DIR)
     b = qs["docs_decontaminate_join"](SF_DIR)
-    _assert_matches_oracle(a, b)
+    assert_matches_oracle(a, b)
 
 
 def test_simhash_hamming_pairs_exact_vs_bruteforce(ray_session):
@@ -724,7 +681,7 @@ def test_pii_scrub_planted_edge_cases(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_docs_pii_scrub(str(tmp_path))
-    _assert_matches_oracle(got, _duck(SQL_DOCS_PII_SCRUB, str(tmp_path)))
+    assert_matches_oracle(got, _duck(SQL_DOCS_PII_SCRUB, str(tmp_path)))
     by_id = got.set_index("doc_id")
     assert by_id.loc[1, "n_email"] == 2
     assert by_id.loc[2, "n_ipv4"] == 2
@@ -776,7 +733,7 @@ def test_words_edit_pairs_planted_and_dp_fuzz(ray_session, tmp_path):
     })
     pq.write_table(docs, str(tmp_path / "documents.parquet"))
     got = q_words_edit_pairs(str(tmp_path))
-    _assert_matches_oracle(got, _duck(sql_words_edit_pairs(), str(tmp_path)))
+    assert_matches_oracle(got, _duck(sql_words_edit_pairs(), str(tmp_path)))
     gs = set(zip(got["word_a"], got["word_b"], got["dist"]))
     assert ("speling", "spelling", 1) in gs      # deletion
     assert ("spelling", "spellling", 1) in gs    # insertion
@@ -834,7 +791,7 @@ def test_lineitem_profile_planted_nulls(ray_session, tmp_path):
     })
     pq.write_table(tbl, str(tmp_path / "lineitem.parquet"))
     got = q_lineitem_profile(str(tmp_path))
-    _assert_matches_oracle(got, _duck(SQL_LINEITEM_PROFILE, str(tmp_path)))
+    assert_matches_oracle(got, _duck(SQL_LINEITEM_PROFILE, str(tmp_path)))
     by = got.set_index("col")
     assert by.loc["l_quantity", "n_null"] == 2
     assert by.loc["l_discount", "n_null"] == 5
@@ -863,4 +820,4 @@ def test_user_groups_stay_within_rows_per_group(ray_session, monkeypatch):
     for q, sql in ((analytics.q_user_sessions, analytics.SQL_USER_SESSIONS),
                    (analytics.q_events_rolling,
                     analytics.SQL_EVENTS_ROLLING)):
-        _assert_matches_oracle(q(sf_small), _duck(sql, sf_small))
+        assert_matches_oracle(q(sf_small), _duck(sql, sf_small))
