@@ -472,14 +472,10 @@ def _hash_smallest(ds, seed64: np.uint64, n: int) -> pd.DataFrame:
     ``mix64(vec_id ^ seed64)``: a seeded uniform sample in one pruned
     pass. Each batch keeps its own ``n`` smallest and the driver merges,
     so the sample does not depend on how the input is partitioned."""
-    mult = np.uint64(0x9E3779B97F4A7C15)
+    from .textstats import _mix64_np
 
     def smallest(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["vec_id"].to_numpy().astype(np.uint64)
-        h = (v ^ seed64) * mult
-        h ^= h >> np.uint64(29)
-        h = h * np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(32)
+        h = _mix64_np(df["vec_id"].to_numpy(), seed64)
         idx = np.argsort(h, kind="stable")[:n]
         return pd.DataFrame({
             # (h ^ sign bit) viewed int64 orders exactly like uint64 h

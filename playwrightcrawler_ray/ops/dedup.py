@@ -14,7 +14,6 @@ appear, and hot shingles can be salted or capped (logged, not silent).
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -22,6 +21,9 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from ..functions.text import fingerprint64
+from .lm import _tok_hash_arrays
 
 
 def _docs(sf_dir: str, columns):
@@ -34,34 +36,21 @@ def _docs(sf_dir: str, columns):
 _MIX = np.uint64(0x100000001B3)  # FNV-ish odd multiplier for shingle mixing
 
 
-def _shingle_hash_arrays(texts, w: int, tok_cache: dict[str, int] | None = None
-                         ) -> list[np.ndarray]:
-    """Vectorized distinct-shingle hashes per text: each UNIQUE token is
-    blake2b-hashed once (cached — natural text reuses tokens heavily),
-    then every w-gram hash is a positional multiply-xor mix of the token
-    hashes, computed with w numpy ops over the whole token array instead
-    of one digest per shingle string. Equality of shingle hashes ≡
-    equality of shingle strings modulo ~2^-64 collisions, which is all
-    the Jaccard/minhash kernels observe."""
-    cache = tok_cache if tok_cache is not None else {}
-
-    def tok_hash(tok: str) -> int:
-        v = cache.get(tok)
-        if v is None:
-            v = cache[tok] = int.from_bytes(
-                hashlib.blake2b(tok.encode(), digest_size=8).digest(), "big"
-            )
-        return v
-
+def _shingle_hash_arrays(texts, w: int) -> list[np.ndarray]:
+    """Vectorized distinct-shingle hashes per text: token hashes come
+    from ``lm._tok_hash_arrays`` (each unique token hashed once per
+    process, bounded cache), then every w-gram hash is a positional
+    multiply-xor mix of the token hashes, computed with w numpy ops over
+    the whole token array instead of one digest per shingle string.
+    Equality of shingle hashes ≡ equality of shingle strings modulo
+    ~2^-64 collisions, which is all the Jaccard/minhash kernels
+    observe."""
     out = []
-    for text in texts:
-        toks = text.split()
-        n = len(toks) - w + 1
+    for th in _tok_hash_arrays(texts):
+        n = len(th) - w + 1
         if n <= 0:
             out.append(np.empty(0, dtype=np.uint64))
             continue
-        th = np.fromiter((tok_hash(t) for t in toks), dtype=np.uint64,
-                         count=len(toks))
         acc = np.zeros(n, dtype=np.uint64)
         for j in range(w):
             acc = (acc * _MIX) ^ th[j : j + n]
@@ -440,16 +429,8 @@ def simhash_batch(df: pd.DataFrame) -> pd.DataFrame:
         )
     acc = np.zeros((len(df), 64), dtype=np.int64)
     if vocab:
-        hv = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(t.encode(), digest_size=8).digest(),
-                    "big",
-                )
-                for t in vocab
-            ),
-            dtype=np.uint64, count=len(vocab),
-        )
+        hv = np.fromiter(map(fingerprint64, vocab), dtype=np.uint64,
+                         count=len(vocab))
         bitmat = np.where(
             (hv[:, None] >> shifts[None, :]) & np.uint64(1) == 1, 1, -1
         ).astype(np.int64)
@@ -711,8 +692,7 @@ def benchmark_hash_set(ds, w: int = 3, bench_mod: int = 97) -> np.ndarray:
 
     def bench_hashes(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["doc_id"] % bench_mod == 0]
-        cache: dict[str, int] = {}
-        hs = _shingle_hash_arrays(sub["text"].tolist(), w, cache)
+        hs = _shingle_hash_arrays(sub["text"].tolist(), w)
         flat = (np.unique(np.concatenate(hs)) if hs
                 else np.empty(0, dtype=np.uint64))
         return pd.DataFrame({"h": flat})
@@ -725,8 +705,7 @@ def overlap_counts(texts: list[str], bset: np.ndarray, w: int = 3
                    ) -> np.ndarray:
     """Per-text count of DISTINCT shingles present in the sorted hash
     set ``bset`` (one searchsorted per text)."""
-    cache: dict[str, int] = {}
-    hs = _shingle_hash_arrays(texts, w, cache)
+    hs = _shingle_hash_arrays(texts, w)
     out = np.zeros(len(texts), dtype=np.int64)
     if not len(bset):
         return out

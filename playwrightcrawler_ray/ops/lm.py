@@ -44,12 +44,12 @@ no LM filtering stage; this is part of the added LLM-curation family
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 import pandas as pd
 
+from ..functions.text import fingerprint64
 from .textstats import _docs
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -57,10 +57,7 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 # whitespace-split token can ever equal it (the SQL oracle uses the
 # same literal string)
 _OOV_TOKEN = " oov "
-_OOV_HASH = np.uint64(
-    int.from_bytes(hashlib.blake2b(_OOV_TOKEN.encode(),
-                                   digest_size=8).digest(), "big")
-)
+_OOV_HASH = np.uint64(fingerprint64(_OOV_TOKEN))
 
 _TOK_CACHE: dict[str, int] = {}
 # Web-crawl vocabularies are effectively unbounded, and workers are
@@ -79,9 +76,7 @@ def _tok_hash_arrays(texts) -> list[np.ndarray]:
     def tok_hash(tok: str) -> int:
         v = cache.get(tok)
         if v is None:
-            v = int.from_bytes(
-                hashlib.blake2b(tok.encode(), digest_size=8).digest(), "big"
-            )
+            v = fingerprint64(tok)
             if len(cache) < _TOK_CACHE_MAX:
                 cache[tok] = v
         return v

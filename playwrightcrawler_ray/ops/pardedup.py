@@ -30,10 +30,10 @@ hash collisions cannot merge distinct paragraphs.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
+
+from ..functions.text import fingerprint64
 
 
 def _explode_wgrams(df: pd.DataFrame, w: int, n_parts: int):
@@ -53,9 +53,7 @@ def _explode_wgrams(df: pd.DataFrame, w: int, n_parts: int):
             continue
         for i in range(len(words) - w + 1):
             g = " ".join(words[i:i + w])
-            h = int.from_bytes(
-                hashlib.blake2b(g.encode("utf-8"),
-                                digest_size=8).digest(), "big")
+            h = fingerprint64(g)
             out_doc.append(doc_id)
             out_start.append(i)
             out_gram.append(g)
@@ -77,10 +75,7 @@ def _explode_paragraphs(df: pd.DataFrame, chunk_words: int, n_parts: int,
         words = text.split(" ")
         for idx in range(0, (len(words) + chunk_words - 1) // chunk_words):
             par = " ".join(words[idx * chunk_words:(idx + 1) * chunk_words])
-            h = int.from_bytes(
-                hashlib.blake2b(par.encode("utf-8"), digest_size=8).digest(),
-                "big",
-            )
+            h = fingerprint64(par)
             out_doc.append(doc_id)
             out_idx.append(idx)
             out_par.append(par)

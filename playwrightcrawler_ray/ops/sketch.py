@@ -1,29 +1,33 @@
-"""Mergeable cardinality sketches: HyperLogLog grouped distinct-count.
+"""Mergeable synopses behind one protocol and one combine.
 
-The exact grouped COUNT DISTINCT (ops/analytics.q_events_distinct_users)
-carries state proportional to the number of distinct (group, key)
-pairs — fine until the key domain is billions wide. The HLL twin here
-is the bounded-state scale path: per batch, per group, a 2^P-register
-sketch (P=14 → 16 KiB, ~0.8 % standard error); registers merge by
-elementwise max, so the combine stage is a tiny reduction no matter
-how many rows streamed through. This is the standard Flajolet et al.
-2007 estimator with the small-range linear-counting correction.
+Four bounded-state twins of exact aggregates whose state grows with the
+key domain: HyperLogLog (distinct users), Misra-Gries and count-min
+(word frequencies) and a quantile compactor stack (float quantiles).
+Each is a ``Synopsis``: ``update(...)`` folds a batch in, ``merge(other)``
+folds another synopsis of its kind in, a query (``estimate``,
+``heavy_hitters``, ``quantile``) reads it, and ``to_state()`` /
+``from_state(bytes)`` ship it between tasks as the pickle of itself.
 
-Correctness: rows-only in the driver (an estimator has no SQL oracle);
-the agreement test pins the estimate within the published error bound
-against the SQL-oracled exact twin, plus a unit test on the raw
-estimator across magnitudes.
+``synopsis_agg`` is the one combine, on ``aggutil.partial_grouped_agg``:
+one state row per batch and group, folded per group into a fresh
+synopsis in arrival order, then finished into the op's frame.
+
+Correctness: the four ops are rows-only in the driver (an estimate has
+no SQL oracle). tests/test_sketches.py fuzzes each guarantee through
+the protocol, state round trip included, and checks each op against
+its SQL-oracled exact twin.
 """
 
 from __future__ import annotations
 
+import collections
+import pickle
+from collections.abc import Callable
+
 import numpy as np
 import pandas as pd
 
-HLL_P = 14
-HLL_M = 1 << HLL_P
-# alpha_m for m >= 128 (Flajolet et al. 2007, table)
-_ALPHA = 0.7213 / (1.0 + 1.079 / HLL_M)
+from ..functions.text import fingerprint64
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -32,6 +36,66 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+class Synopsis:
+    """The protocol's shipping half, shared by every synopsis."""
+
+    def to_state(self) -> bytes:
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def from_state(cls, state: bytes) -> "Synopsis":
+        sk = pickle.loads(state)
+        if not isinstance(sk, cls):
+            raise TypeError(f"not a {cls.__name__} state: {type(sk)}")
+        return sk
+
+
+def synopsis_agg(ds, make: Callable[[], Synopsis],
+                 fill: Callable[[Synopsis, pd.DataFrame], None],
+                 finish: Callable, by: str | None = None) -> pd.DataFrame:
+    """Per batch, one ``(group, state)`` row per ``by`` group (one
+    state row per batch without ``by``) of a ``make()`` synopsis that
+    ``fill(sk, rows)`` updated. The combine folds each group's states
+    into a fresh ``make()`` in arrival order and returns ``finish(sk)``
+    — with ``by``, ``finish({group: sk})`` in order of first arrival."""
+    from .aggutil import partial_grouped_agg
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        groups = df.groupby(by, sort=False) if by else [(None, df)]
+        keys, states = [], []
+        for key, rows in groups:
+            sk = make()
+            fill(sk, rows)
+            keys.append(key)
+            states.append(sk.to_state())
+        return pd.DataFrame({by: keys, "state": states} if by
+                            else {"state": states})
+
+    def fold(states) -> Synopsis:
+        sk = make()
+        for s in states:
+            sk.merge(type(sk).from_state(s))
+        return sk
+
+    def combine(parts: pd.DataFrame) -> pd.DataFrame:
+        if by is None:
+            return finish(fold(parts["state"]))
+        return finish({key: fold(g["state"])
+                       for key, g in parts.groupby(by, sort=False)})
+
+    return partial_grouped_agg(ds, partial, combine)
+
+
+# --- HyperLogLog: 2^P registers (P=14 → 16 KiB, ~0.8 % standard
+# error) merged by elementwise max; the Flajolet et al. 2007 estimator
+# with the small-range linear-counting correction. ---
+
+HLL_P = 14
+HLL_M = 1 << HLL_P
+# alpha_m for m >= 128 (Flajolet et al. 2007, table)
+_ALPHA = 0.7213 / (1.0 + 1.079 / HLL_M)
 
 
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:
@@ -47,152 +111,131 @@ def _bit_length_u64(v: np.ndarray) -> np.ndarray:
     return bl
 
 
-def hll_update(registers: np.ndarray, keys: np.ndarray) -> None:
-    """Fold a batch of integer keys into a (HLL_M,) uint8 register
-    array in place."""
-    h = _splitmix64(np.asarray(keys))
-    idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    w = (h << np.uint64(HLL_P)) >> np.uint64(HLL_P)  # low 64-P bits
-    rank = ((64 - HLL_P) + 1 - _bit_length_u64(w)).astype(np.uint8)
-    np.maximum.at(registers, idx, rank)
+class HLL(Synopsis):
+    def __init__(self):
+        self.registers = np.zeros(HLL_M, dtype=np.uint8)
 
+    def update(self, keys: np.ndarray) -> None:
+        """Fold a batch of integer keys into the registers."""
+        h = _splitmix64(np.asarray(keys))
+        idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
+        w = (h << np.uint64(HLL_P)) >> np.uint64(HLL_P)  # low 64-P bits
+        rank = ((64 - HLL_P) + 1 - _bit_length_u64(w)).astype(np.uint8)
+        np.maximum.at(self.registers, idx, rank)
 
-def hll_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.maximum(a, b)
+    def merge(self, other: "HLL") -> None:
+        np.maximum(self.registers, other.registers, out=self.registers)
 
-
-def hll_estimate(registers: np.ndarray) -> float:
-    """Bias-corrected harmonic-mean estimate with the small-range
-    linear-counting correction."""
-    e = _ALPHA * HLL_M * HLL_M / np.sum(2.0 ** -registers.astype(np.float64))
-    zeros = int(np.count_nonzero(registers == 0))
-    if e <= 2.5 * HLL_M and zeros:
-        return HLL_M * np.log(HLL_M / zeros)  # linear counting
-    return float(e)
+    def estimate(self) -> float:
+        """Bias-corrected harmonic-mean estimate with the small-range
+        linear-counting correction."""
+        regs = self.registers
+        e = _ALPHA * HLL_M * HLL_M / np.sum(2.0 ** -regs.astype(np.float64))
+        zeros = int(np.count_nonzero(regs == 0))
+        if e <= 2.5 * HLL_M and zeros:
+            return HLL_M * np.log(HLL_M / zeros)  # linear counting
+        return float(e)
 
 
 def q_events_distinct_users_hll(sf_dir: str) -> pd.DataFrame:
-    """Grouped approximate COUNT DISTINCT over events: one HLL sketch
-    per event_type built per batch inside map_batches (serialized as a
-    binary register column), merged by max on the coalesced partial
-    stream — the mergeable-sketch layout verbatim."""
+    """Grouped approximate COUNT DISTINCT over events: one HLL per
+    event_type per batch, merged in the combine — the bounded-state
+    twin of ops/analytics.q_events_distinct_users."""
     from .analytics import _read
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
+    def finish(sks: dict) -> pd.DataFrame:
+        return pd.DataFrame({
+            "event_type": list(sks),
+            "n_users_est": pd.array(
+                [int(round(sk.estimate())) for sk in sks.values()],
+                dtype="int64"),
+        })
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        types, sketches = [], []
-        for et, g in df.groupby("event_type", sort=False):
-            regs = np.zeros(HLL_M, dtype=np.uint8)
-            hll_update(regs, g["user_id"].to_numpy())
-            types.append(et)
-            sketches.append(regs.tobytes())
-        return pd.DataFrame({"event_type": types, "sketch": sketches})
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out_t, out_n = [], []
-        for et, g in df.groupby("event_type", sort=False):
-            regs = np.zeros(HLL_M, dtype=np.uint8)
-            for s in g["sketch"]:
-                regs = hll_merge(regs, np.frombuffer(s, dtype=np.uint8))
-            out_t.append(et)
-            out_n.append(int(round(hll_estimate(regs))))
-        return pd.DataFrame({"event_type": out_t,
-                             "n_users_est": pd.array(out_n, dtype="int64")})
-
-    from .aggutil import partial_grouped_agg
-
-    return partial_grouped_agg(ds, partial, combine)
+    return synopsis_agg(
+        _read(sf_dir, "events", ["event_type", "user_id"]), HLL,
+        lambda sk, g: sk.update(g["user_id"].to_numpy()), finish,
+        by="event_type")
 
 
-# --- Misra-Gries heavy hitters (mergeable frequency summary) ---
-#
-# Exact corpus word counts (ops/textstats.q_words_topk) carry state
-# proportional to the vocabulary. The MG summary bounds state at k
-# counters per partial with the mergeable-summaries guarantee
-# (Agarwal et al. 2013): after any sequence of batch reductions and
-# merges, every item's estimate undercounts its true frequency by at
-# most the cumulative decrement D, and D <= N/(k+1) for N total
-# tokens. Any word with true count > D is guaranteed to survive.
+# --- Misra-Gries heavy hitters: at most k counters, with the
+# mergeable-summaries guarantee (Agarwal et al. 2013). After any
+# sequence of reductions and merges every estimate undercounts by at
+# most the cumulative decrement D <= N/(k+1) for N items, so any item
+# with true count > D survives. ---
 
 MG_K = 64
-_MG_DELTA_KEY = ""  # whitespace split never yields the empty token
 
 
-def mg_reduce(words: np.ndarray, counts: np.ndarray, k: int = MG_K
-              ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Reduce a (word, count) multiset to <= k counters by the uniform
-    MG decrement: subtract the (k+1)-th largest count from all, keep
-    positives. Returns (words, counts, decrement)."""
-    if len(words) <= k:
-        return words, counts, 0
-    order = np.argsort(-counts, kind="stable")
-    words, counts = words[order], counts[order]
-    t = int(counts[k])
-    counts = counts - t
-    keep = counts > 0
-    return words[keep], counts[keep], t
+class MisraGries(Synopsis):
+    def __init__(self, k: int = MG_K):
+        self.k = k
+        self.counters: collections.Counter = collections.Counter()
+        self.delta = 0  # cumulative decrement D
+
+    def update(self, items, counts) -> None:
+        """Fold exact (item, count) pairs, then reduce to <= k."""
+        for w, n in zip(items, counts):
+            self.counters[w] += int(n)
+        self._reduce()
+
+    def merge(self, other: "MisraGries") -> None:
+        """Sum counters and decrements; the query reduces once."""
+        self.counters.update(other.counters)
+        self.delta += other.delta
+
+    def _reduce(self) -> None:
+        """The uniform MG decrement: subtract the (k+1)-th largest
+        count from every counter and keep the positives."""
+        if len(self.counters) > self.k:
+            t = sorted(self.counters.values())[-self.k - 1]
+            self.counters = collections.Counter(
+                {w: n - t for w, n in self.counters.items() if n > t})
+            self.delta += t
+
+    def heavy_hitters(self) -> pd.DataFrame:
+        """(word, est, err_bound) after the one final reduce, by est
+        descending then word: every true count is in [est, est + D],
+        and every word with true count > D is present."""
+        self._reduce()
+        out = pd.DataFrame({
+            "word": np.array(list(self.counters), dtype=object),
+            "est": np.array(list(self.counters.values()), dtype=np.int64),
+        })
+        out["err_bound"] = np.int64(self.delta)
+        return out.sort_values(["est", "word"],
+                               ascending=[False, True]).reset_index(drop=True)
+
+
+def _word_counts(df: pd.DataFrame) -> pd.Series:
+    """Exact whitespace-token counts of a batch, count-descending."""
+    return df["text"].str.split().explode().dropna().value_counts()
 
 
 def q_words_topk_mg(sf_dir: str, k: int = MG_K) -> pd.DataFrame:
     """Heavy-hitter words via mergeable Misra-Gries: per-batch exact
-    value_counts reduced to k counters (the partial is O(k) no matter
-    the batch), partials merged by per-word summation plus one final
-    reduce. The per-partial decrements travel in-band as a reserved
-    empty-string row, so the output's uniform ``err_bound`` column is
-    the EXACT cumulative decrement D of this run (not just the
-    worst-case N/(k+1)): true count is in [est, est + D] for every
-    word, and every word with true count > D is present."""
-    from .aggutil import partial_grouped_agg
+    counts reduced to k counters, summed in the combine and reduced
+    once. ``err_bound`` is the EXACT cumulative decrement D of this
+    run, not just the worst case N/(k+1)."""
     from .analytics import _read
 
-    ds = _read(sf_dir, "documents", ["text"])
+    def fill(sk: MisraGries, df: pd.DataFrame) -> None:
+        vc = _word_counts(df)
+        sk.update(vc.index, vc.to_numpy())
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["text"].str.split().explode().dropna().value_counts()
-        w, c, d = mg_reduce(vc.index.to_numpy(dtype=object),
-                            vc.to_numpy().astype(np.int64), k)
-        return pd.DataFrame({
-            "word": np.concatenate([w, [_MG_DELTA_KEY]]),
-            "cnt": np.concatenate([c, [d]]).astype("int64"),
-        })
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        tot = df.groupby("word", as_index=False, sort=False)["cnt"].sum()
-        is_d = tot["word"] == _MG_DELTA_KEY
-        delta = int(tot.loc[is_d, "cnt"].sum())
-        tot = tot[~is_d]
-        w, c, d = mg_reduce(tot["word"].to_numpy(dtype=object),
-                            tot["cnt"].to_numpy().astype(np.int64), k)
-        delta += d
-        out = pd.DataFrame({"word": w, "est": c.astype("int64")})
-        out["err_bound"] = np.int64(delta)
-        return out.sort_values(["est", "word"],
-                               ascending=[False, True]).reset_index(drop=True)
-
-    return partial_grouped_agg(ds, partial, combine)
+    return synopsis_agg(_read(sf_dir, "documents", ["text"]),
+                        lambda: MisraGries(k), fill,
+                        MisraGries.heavy_hitters)
 
 
-# --- Mergeable quantile sketch (deterministic compactor stack) ---
-#
-# The exact quantile op (textstats.q_docs_token_quantiles) exploits a
-# small-INTEGER domain: the distribution compresses to an exact
-# histogram. Real-valued columns (quality scores, embedding norms,
-# losses) have no such histogram; the bounded-state path is a
-# Munro-Paterson / KLL-style compactor stack: level l holds up to k
-# values of weight 2^l; a full level is sorted and every other value
-# is promoted with doubled weight. Deterministic: the kept-offset
-# alternates by a compaction counter instead of a coin flip, so
-# reruns of the same plan reproduce bit-identical results (estimates
-# still vary with batch boundaries across cluster sizes — always
-# within the certificate) at the cost of the (unneeded here)
-# randomized-error refinement. The
-# tracked ``err`` field accumulates one conservative 2^l rank-error
-# unit per compaction, so the sketch carries its own certificate:
-# |est_rank(v) - true_rank(v)| <= err for every v.
+# --- Quantile sketch: a Munro-Paterson / KLL-style compactor stack for
+# real-valued columns. Level l holds up to k values of weight 2^l; a
+# full level is sorted and every other value promoted with doubled
+# weight. The kept offset alternates by a counter instead of a coin
+# flip, so reruns of one plan are bit-identical. Each compaction adds
+# 2^l to ``err``: |est_rank(v) - true_rank(v)| <= err for every v. ---
 
 
-class QuantileSketch:
+class QuantileSketch(Synopsis):
     def __init__(self, k: int = 256):
         if k < 2 or k % 2:
             raise ValueError("k must be even and >= 2")
@@ -202,7 +245,7 @@ class QuantileSketch:
         self.err = 0        # accumulated worst-case rank error
         self._alt = 0       # deterministic compaction-offset counter
 
-    def add(self, vals: np.ndarray) -> None:
+    def update(self, vals: np.ndarray) -> None:
         vals = np.asarray(vals, dtype=np.float64)
         self.n += len(vals)
         self.levels[0] = np.concatenate([self.levels[0], vals])
@@ -262,142 +305,96 @@ class QuantileSketch:
 def q_embedding_norm_quantiles(sf_dir: str,
                                qs: tuple = (0.1, 0.25, 0.5, 0.75, 0.9),
                                k: int = 256) -> pd.DataFrame:
-    """Quantiles of per-vector L2 norms over the embeddings table via
-    the mergeable quantile sketch: one sketch per batch (vectorized
-    norm + add), sketches merged on the coalesced partial stream.
-    State per partial is O(k log(n/k)) regardless of corpus size; the
-    output carries the sketch's own rank-error certificate, which the
-    agreement test checks against exact ranks."""
-    import pickle
-
-    from .aggutil import partial_grouped_agg
+    """Quantiles of per-vector L2 norms over the embeddings table: one
+    quantile sketch per batch, merged in the combine. State per partial
+    is O(k log(n/k)) whatever the corpus size; the output carries the
+    sketch's rank-error certificate, which the agreement test checks
+    against exact ranks. No rows in, no rows out (typed columns)."""
     from .analytics import _read
 
-    ds = _read(sf_dir, "embeddings", ["embedding"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        sk = QuantileSketch(k)
+    def fill(sk: QuantileSketch, df: pd.DataFrame) -> None:
         if len(df):
             m = np.stack(df["embedding"].to_numpy())
-            sk.add(np.sqrt(np.einsum("ij,ij->i", m, m)))
-        return pd.DataFrame({"blob": [pickle.dumps(sk)]})
+            sk.update(np.sqrt(np.einsum("ij,ij->i", m, m)))
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        sk = QuantileSketch(k)
-        for b in df["blob"]:
-            sk.merge(pickle.loads(b))
-        if sk.n == 0:
-            # degrade like every other op: empty frame, stable schema
-            return pd.DataFrame({
-                "q": pd.array([], dtype="float64"),
-                "norm_est": pd.array([], dtype="float64"),
-                "rank_err_bound": pd.array([], dtype="int64"),
-                "n": pd.array([], dtype="int64"),
-            })
-        rows = [{
-            "q": float(q),
-            "norm_est": sk.quantile(q),
-            "rank_err_bound": np.int64(sk.err + sk.max_weight()),
-            "n": np.int64(sk.n),
-        } for q in qs]
-        return pd.DataFrame(rows)
+    def finish(sk: QuantileSketch) -> pd.DataFrame:
+        rows = [(float(q), sk.quantile(q), sk.err + sk.max_weight(), sk.n)
+                for q in qs] if sk.n else []
+        return pd.DataFrame(
+            rows, columns=["q", "norm_est", "rank_err_bound", "n"]
+        ).astype({"q": "float64", "norm_est": "float64",
+                  "rank_err_bound": "int64", "n": "int64"})
 
-    return partial_grouped_agg(ds, partial, combine)
+    return synopsis_agg(_read(sf_dir, "embeddings", ["embedding"]),
+                        lambda: QuantileSketch(k), fill, finish)
 
 
-# --- Count-min sketch (mergeable point-frequency summary) ---
-#
-# The third classical mergeable frequency summary beside Misra-Gries
-# and HLL (Cormode & Muthukrishnan 2005): d x w counter rows, each
-# item hashed to one counter per row, estimate = min over rows. Two
-# guarantees are DETERMINISTIC and pinned in pytest: the estimate
-# never undercounts (est >= true, always), and the sketch is LINEAR —
-# merging shard sketches by element-wise addition is bit-identical to
-# sketching the concatenated stream. The probabilistic side
-# (est <= true + e*N/w with prob 1-(1/2)^d) is what w sizes; at 100 TB
-# the fixed d*w state makes the combine a tree reduce over 128 KB
-# blobs no matter the token count, where MG keeps only survivors and
-# exact counting keeps the vocabulary.
+# --- Count-min (Cormode & Muthukrishnan 2005): d x w counters, one per
+# row per item, estimate = min over rows. DETERMINISTIC guarantees,
+# pinned in pytest: it never undercounts, and it is LINEAR (merge by
+# addition = sketching the concatenated stream). w sizes the
+# probabilistic side, est <= true + e*N/w with prob 1-(1/2)^d. ---
 
 CMS_D = 4
 CMS_W = 1 << 12
 
 
-def cms_hash(keys: np.ndarray, row: int) -> np.ndarray:
-    """Row-salted column index for uint64 item keys."""
-    salt = _splitmix64(np.array([row + 1], dtype=np.uint64))[0]
-    return (_splitmix64(keys ^ salt) % np.uint64(CMS_W)).astype(np.int64)
+class CountMin(Synopsis):
+    """``candidates`` is an item set carried beside the table and
+    merged by union: the items a top-k query over the sketch ranks."""
 
+    def __init__(self):
+        self.table = np.zeros((CMS_D, CMS_W), dtype=np.int64)
+        self.candidates: set = set()
 
-def cms_update(table: np.ndarray, keys: np.ndarray,
-               counts: np.ndarray) -> None:
-    """Fold (key, count) pairs into a (CMS_D, CMS_W) int64 table —
-    ``np.add.at`` gather per row, no Python loop over items."""
-    for r in range(CMS_D):
-        np.add.at(table[r], cms_hash(keys, r), counts)
+    @staticmethod
+    def _cols(keys: np.ndarray, row: int) -> np.ndarray:
+        """Row-salted column index for uint64 item keys."""
+        salt = _splitmix64(np.array([row + 1], dtype=np.uint64))[0]
+        return (_splitmix64(keys ^ salt) % np.uint64(CMS_W)).astype(np.int64)
 
+    def update(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Fold (key, count) pairs, one ``np.add.at`` per row."""
+        for r in range(CMS_D):
+            np.add.at(self.table[r], self._cols(keys, r), counts)
 
-def cms_estimate(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Point-frequency estimates: min over the d salted rows."""
-    est = table[0][cms_hash(keys, 0)].copy()
-    for r in range(1, CMS_D):
-        np.minimum(est, table[r][cms_hash(keys, r)], out=est)
-    return est
+    def merge(self, other: "CountMin") -> None:
+        self.table += other.table
+        self.candidates |= other.candidates
 
-
-def _word_keys(words: np.ndarray) -> np.ndarray:
-    """blake2b-64 item keys (the repo-wide string-hash convention —
-    same digest family as ops/lm.py's token hashes)."""
-    import hashlib
-
-    return np.fromiter(
-        (int.from_bytes(hashlib.blake2b(w.encode("utf-8"),
-                                        digest_size=8).digest(), "big")
-         for w in words),
-        dtype=np.uint64, count=len(words))
+    def estimate(self, keys: np.ndarray) -> np.ndarray:
+        """Point-frequency estimates: min over the d salted rows."""
+        est = self.table[0][self._cols(keys, 0)].copy()
+        for r in range(1, CMS_D):
+            np.minimum(est, self.table[r][self._cols(keys, r)], out=est)
+        return est
 
 
 def q_words_topk_cms(sf_dir: str, k: int = 20) -> pd.DataFrame:
-    """Corpus word top-k by count-min estimate (rows-only: sketch;
-    the deterministic overestimate + linearity guarantees are pinned
-    against the exact twin in tests/test_sketches.py). The classic
-    distributed shape: each batch contributes its local top-2k words
-    as CANDIDATES plus its fixed-size CMS partial; the combine sums
-    the sketches (linear merge) and ranks the candidate union by CMS
-    estimate. Candidate recall is the per-batch-top-2k heuristic; the
-    estimates themselves inherit the sketch's one-sided bound."""
-    from .aggutil import partial_grouped_agg
+    """Corpus word top-k by count-min estimate. Each batch adds its
+    local top-2k words as candidates beside its counts; the combine
+    sums the tables and ranks the candidate union by estimate.
+    Candidate recall is the per-batch-top-2k heuristic; the estimates
+    inherit the sketch's one-sided bound (pinned against the exact
+    twin in tests/test_sketches.py)."""
     from .analytics import _read
 
-    ds = _read(sf_dir, "documents", ["text"])
+    def keys(words) -> np.ndarray:
+        return np.fromiter(map(fingerprint64, words), dtype=np.uint64,
+                           count=len(words))
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df["text"].str.split().explode().dropna().value_counts()
+    def fill(sk: CountMin, df: pd.DataFrame) -> None:
+        vc = _word_counts(df)
         words = vc.index.to_numpy(dtype=object)
-        counts = vc.to_numpy().astype(np.int64)
-        table = np.zeros((CMS_D, CMS_W), dtype=np.int64)
-        cms_update(table, _word_keys(words), counts)
-        cand = words[:2 * k]  # value_counts is count-descending
-        return pd.DataFrame({
-            "word": np.concatenate([cand, [""] * (CMS_D * CMS_W)]),
-            "cnt": np.concatenate([np.zeros(len(cand), dtype=np.int64),
-                                   table.reshape(-1)]),
-            "slot": np.concatenate([np.full(len(cand), -1, dtype=np.int64),
-                                    np.arange(CMS_D * CMS_W)]),
-        })
+        sk.update(keys(words), vc.to_numpy().astype(np.int64))
+        sk.candidates.update(words[:2 * k])  # value_counts: descending
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        cells = df[df["slot"] >= 0]
-        table = np.zeros(CMS_D * CMS_W, dtype=np.int64)
-        np.add.at(table, cells["slot"].to_numpy(),
-                  cells["cnt"].to_numpy())
-        table = table.reshape(CMS_D, CMS_W)
-        cand = np.unique(
-            df.loc[df["slot"] < 0, "word"].to_numpy(dtype=object))
-        est = cms_estimate(table, _word_keys(cand))
-        out = pd.DataFrame({"word": cand, "est": est.astype("int64")})
+    def finish(sk: CountMin) -> pd.DataFrame:
+        cand = np.unique(np.array(list(sk.candidates), dtype=object))
+        out = pd.DataFrame({"word": cand, "est": sk.estimate(keys(cand))})
         return out.sort_values(["est", "word"],
                                ascending=[False, True]).head(k
                                ).reset_index(drop=True)
 
-    return partial_grouped_agg(ds, partial, combine)
+    return synopsis_agg(_read(sf_dir, "documents", ["text"]), CountMin,
+                        fill, finish)

@@ -1176,10 +1176,8 @@ def q_words_edit_pairs(sf_dir: str, max_dist: int = 2,
             for v in _deletion_neighborhood(w, max_dist):
                 out_v.append(v)
                 out_w.append(w)
-        h = np.fromiter(
-            (int.from_bytes(hashlib.blake2b(v.encode(), digest_size=8)
-                            .digest(), "big") % n_parts for v in out_v),
-            dtype=np.int64, count=len(out_v))
+        h = np.fromiter((fingerprint64(v) % n_parts for v in out_v),
+                        dtype=np.int64, count=len(out_v))
         return pd.DataFrame({"variant": out_v, "word": out_w, "part": h})
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:

@@ -38,11 +38,10 @@ family as the NSFW stage (T1).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
+from ..functions.text import fingerprint64
 from .nsfw import image_features
 
 CAPTION_DIM = 64
@@ -128,10 +127,7 @@ def caption_vector(text: str) -> np.ndarray:
     counts, L2-normalized (the zero caption stays zero)."""
     v = np.zeros(CAPTION_DIM, dtype=np.float64)
     for tok in text.split():
-        h = int.from_bytes(
-            hashlib.blake2b(tok.lower().encode(), digest_size=8).digest(),
-            "big")
-        v[h % CAPTION_DIM] += 1.0
+        v[fingerprint64(tok.lower()) % CAPTION_DIM] += 1.0
     n = float(np.linalg.norm(v))
     return v / n if n > 0 else v
 

@@ -17,10 +17,8 @@ flight, so parallel-batch RPC arrival order never decides the surviving
 row. At the wave's write barrier the driver calls ``commit_wave``,
 which folds the claims into the persistent set and returns the kept
 claimant ords of every multi-claim hash; the driver resolves winners by
-minimum ord and rewrites only the files holding loser rows
-(pipelines/crawl.py) — no data scan. ``add_many``
-(claim-wins-immediately) remains for callers that only need the hash
-set, not row attributes.
+minimum ord and records the losers in the wave's ``_tombstones.json``
+sidecar (pipelines/crawl.py) — no data scan, and no file is rewritten.
 """
 
 from __future__ import annotations
@@ -42,10 +40,6 @@ class DedupShard:
     def ping(self) -> bool:
         """Liveness probe (actor-loss recovery, pipelines/crawl.py)."""
         return True
-
-    def add_many(self, hashes: list[int]) -> list[bool]:
-        """True per item ⇔ first sighting (caller keeps those rows)."""
-        return self.seen.add_many(hashes)
 
     def stage_many_keyed(
         self, pairs: list[tuple[int, int]], ns: int = 0

@@ -257,6 +257,7 @@ def test_ann_training_sample_independent_of_partitioning(ray_session):
     import ray
 
     from playwrightcrawler_ray.ops.ann import _hash_smallest, _kmeans_centroids
+    from playwrightcrawler_ray.ops.textstats import _mix64_np
 
     n_rows, n = 10_000, 3000
     df = pd.DataFrame({
@@ -265,10 +266,7 @@ def test_ann_training_sample_independent_of_partitioning(ray_session):
     })
     seed64 = np.uint64(7)
     v = df["vec_id"].to_numpy().astype(np.uint64)
-    h = (v ^ seed64) * np.uint64(0x9E3779B97F4A7C15)
-    h ^= h >> np.uint64(29)
-    h = h * np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(32)
+    h = _mix64_np(v, seed64)
     want = v[np.argsort(h, kind="stable")[:n]].astype(np.int64).tolist()
 
     centroids = []
@@ -375,30 +373,6 @@ def test_temporal_joins_bucket_invariance(ray_session):
         pd.testing.assert_frame_equal(a, b)
 
 
-def test_hll_estimator_accuracy_across_magnitudes():
-    """Raw HLL estimator (P=14, ~0.82 % standard error) stays within
-    5 sigma of truth from the linear-counting regime up to 1M keys."""
-    import numpy as np
-
-    from playwrightcrawler_ray.ops.sketch import (
-        HLL_M, hll_estimate, hll_merge, hll_update)
-
-    rng = np.random.default_rng(7)
-    for n in (50, 1_000, 30_000, 1_000_000):
-        keys = rng.choice(np.arange(n * 4, dtype=np.int64), size=n,
-                          replace=False)
-        regs = np.zeros(HLL_M, dtype=np.uint8)
-        # split across simulated batches and merge, exercising the
-        # mergeable-sketch path, not just a single update
-        a, b = np.zeros(HLL_M, dtype=np.uint8), np.zeros(HLL_M, dtype=np.uint8)
-        hll_update(a, keys[: n // 2])
-        hll_update(b, keys[n // 2:])
-        regs = hll_merge(a, b)
-        est = hll_estimate(regs)
-        tol = 5 * 1.04 / np.sqrt(HLL_M)  # 5 sigma of the published bound
-        assert abs(est - n) <= max(tol * n, 3), (n, est)
-
-
 def test_hll_distinct_users_agrees_with_exact(entrymod):
     """The grouped HLL twin matches the SQL-oracled exact op within
     the estimator's error bound on every group."""
@@ -414,49 +388,6 @@ def test_hll_distinct_users_agrees_with_exact(entrymod):
     for et in exact.index:
         n, e = int(exact.loc[et, "n_users"]), int(est.loc[et, "n_users_est"])
         assert abs(e - n) <= max(tol * n, 3), (et, n, e)
-
-
-def test_mg_reduce_guarantees_on_synthetic_stream():
-    """Force the Misra-Gries decrement path (vocab >> k) and check the
-    mergeable-summaries guarantees: cumulative decrement D <= N/(k+1),
-    every estimate in [true - D, true], and every item with true count
-    > D survives — across simulated batch partials + a merge."""
-    import collections
-
-    import numpy as np
-
-    from playwrightcrawler_ray.ops.sketch import mg_reduce
-
-    k = 16
-    rng = np.random.default_rng(3)
-    # Zipf-ish stream over a 2000-word vocabulary, in 8 batches
-    vocab = np.array([f"w{i}" for i in range(2000)], dtype=object)
-    weights = 1.0 / np.arange(1, len(vocab) + 1)
-    weights /= weights.sum()
-    stream = rng.choice(vocab, size=40_000, p=weights)
-    truth = collections.Counter(stream)
-    n = len(stream)
-
-    merged: collections.Counter = collections.Counter()
-    delta = 0
-    for batch in np.array_split(stream, 8):
-        vals, cnts = np.unique(batch, return_counts=True)
-        w, c, d = mg_reduce(vals.astype(object), cnts.astype(np.int64), k)
-        delta += d
-        for wi, ci in zip(w, c):
-            merged[wi] += int(ci)
-    w, c, d = mg_reduce(np.array(list(merged), dtype=object),
-                        np.array(list(merged.values()), dtype=np.int64), k)
-    delta += d
-
-    assert delta > 0  # the decrement path actually ran
-    assert delta <= n // (k + 1)
-    est = dict(zip(w, c))
-    for wi, ci in est.items():
-        assert ci <= truth[wi] <= ci + delta
-    for wi, ti in truth.items():
-        if ti > delta:
-            assert wi in est, (wi, ti, delta)
 
 
 def test_words_topk_mg_agrees_with_exact(entrymod):
@@ -479,39 +410,6 @@ def test_words_topk_mg_agrees_with_exact(entrymod):
     for word, true in exact.items():
         if true > d:
             assert word in present
-
-
-def test_quantile_sketch_certificate_on_synthetic_stream():
-    """Compactor-stack quantile sketch: weight conservation, bounded
-    state, and the self-carried rank-error certificate on a stream
-    that forces many compactions and merges."""
-    import numpy as np
-
-    from playwrightcrawler_ray.ops.sketch import QuantileSketch
-
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=50_000) * 10
-    sketches = []
-    for chunk in np.array_split(data, 16):
-        sk = QuantileSketch(64)
-        sk.add(chunk)
-        sketches.append(sk)
-    m = sketches[0]
-    for s in sketches[1:]:
-        m.merge(s)
-    assert m.n == len(data)
-    total_w = sum(len(v) * (1 << l) for l, v in enumerate(m.levels))
-    assert total_w == len(data)                    # weight conserved
-    assert sum(len(v) for v in m.levels) < 200     # bounded state
-    srt = np.sort(data)
-    bound = m.err + m.max_weight()
-    assert bound < 0.1 * len(data)
-    for q in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-        est = m.quantile(q)
-        lo = np.searchsorted(srt, est, side="left")
-        hi = np.searchsorted(srt, est, side="right")
-        target = q * len(data)
-        assert lo - bound <= target <= hi + bound, (q, lo, hi, target)
 
 
 def test_embedding_norm_quantiles_certificate(entrymod):

@@ -19,6 +19,8 @@ from playwrightcrawler_ray.state.dedup import DedupShard
 from playwrightcrawler_ray.state.frontier import FrontierShard, shard_of
 from playwrightcrawler_ray.state.robots import RobotsRules
 
+from oracle_compare import assert_matches_oracle
+
 
 @pytest.mark.parametrize("mode", ["exact", "cuckoo", "bloom"])
 def test_seen_set_basics(mode):
@@ -178,12 +180,18 @@ def test_frontier_checkpoint_roundtrip():
 
 
 def test_dedup_shard():
+    """Checkpoint round trip on the crawl's path: a wave's claims are
+    staged, committed, checkpointed, and a restored shard treats them
+    as seen in a prior wave."""
     d = DedupShard(0)
-    assert d.add_many([10, 11, 10]) == [True, True, False]
+    assert d.stage_many_keyed([(10, 0), (11, 1), (10, 2)]) == [
+        True, True, False]
+    assert d.commit_wave() == []  # 10's later claim was a sure loser
     blob = d.checkpoint()
     d2 = DedupShard(1)
     d2.restore(blob)
-    assert d2.add_many([11, 12]) == [False, True]
+    assert d2.shard_id == 0
+    assert d2.stage_many_keyed([(11, 0), (12, 1)]) == [False, True]
 
 
 def test_stage_many_keyed_protocol():
@@ -440,6 +448,6 @@ def test_bloom_semijoin_false_positives_are_verified_away(ray_session,
         .groupby("l_orderkey", as_index=False)
         .agg(n_items=("_q", "size"), sum_qty=("_q", "sum"))
         .rename(columns={"l_orderkey": "orderkey"})
-        .sort_values("orderkey").reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got["orderkey"].is_monotonic_increasing
+    assert_matches_oracle(got, want)
