@@ -6,9 +6,14 @@ but as an explicit dataclass so pipelines can carry their own config and
 tests can override without global state.
 
 Values keep the reference's defaults where behavior parity matters
-(word filters, URL length, level counts, strategy weights); Ray-specific
-knobs (batch sizes, shard counts, filter capacities) are new. Shard
-counts derive from the cluster's CPU count unless pinned.
+(strategy weights, payload ceiling); Ray-specific knobs (batch sizes,
+shard counts, filter capacities) are new. Shard counts derive from the
+cluster's CPU count unless pinned. Reference settings that no crawl
+varies live as defaults where they are used: the word filters in
+``functions/text.extract_top_words``, the octet-stream aliases in
+``ContentTypeRouter``, the URL length cap in ``UrlPolicy``,
+``MAX_WEBCONTENT_SIZE`` in ``stages/process.py`` and the level count in
+``core/schemas.MAX_LEVELS``, which the output schema's columns fix.
 """
 
 from __future__ import annotations
@@ -24,30 +29,15 @@ SEEN_CAPACITY = 8 << 16
 @dataclass
 class CrawlConfig:
     # --- behavior parity with the reference (config.py in /root/reference) ---
-    extract_words: bool = True                # EXTRACT_WORDS
-    extract_min_webcontent: bool = True       # EXTRACT_MIN_WEBCONTENT
     # JS-render hook before parsing (reference renders EVERY page via
     # Playwright, :4926-5207; here the deterministic stand-in in
     # functions/render.py — document.write literals + lazy-load
-    # promotion). Off = static fetch only.
+    # promotion). External <script src> subresources are fetched
+    # through the same backend as the page and executed in document
+    # order (browser semantics — the reference's Playwright runs every
+    # page script, playwrightcrawler.py:5174-5185). Off = static fetch
+    # only.
     render_js: bool = True
-    # fetch + execute external <script src> subresources during the
-    # render (browser semantics — the reference's Playwright runs every
-    # page script, playwrightcrawler.py:5174-5185). Sources are fetched
-    # through the same backend as the page (corpus index / real socket)
-    # with a per-process LRU source cache (a browser's script cache).
-    # Requires render_js; off = inline scripts only (round-4 behavior).
-    execute_external_scripts: bool = True
-    use_octet_stream: bool = True             # USE_OCTET_STREAM
-    words_remove_special_chars: bool = True   # WORDS_REMOVE_SPECIAL_CHARS
-    words_to_lower: bool = True               # WORDS_TO_LOWER
-    words_min_len: int = 3                    # WORDS_MIN_LEN (exclusive lower bound)
-    words_max_len: int = 40                   # WORDS_MAX_LEN (inclusive upper bound)
-    words_max_words: int = 24000              # WORDS_MAX_WORDS
-    max_webcontent_size: int = 900_000        # MAX_WEBCONTENT_SIZE
-    max_url_length: int = 4096                # MAX_URL_LENGTH
-    max_dir_levels: int = 7                   # MAX_DIR_LEVELS
-    max_host_levels: int = 7                  # MAX_HOST_LEVELS
     # per-resource payload ceiling (reference MAX_MEMORY_MB=6000 aborts
     # the page and persists a minimal doc, playwrightcrawler.py:5294-5307)
     max_body_mb: int = 6000
@@ -89,7 +79,6 @@ class CrawlConfig:
     max_waves: int = 100             # ITERATIONS analogue, bounded for sandbox
     per_host_per_wave: int = 1       # reference one-URL-per-host collapse (A1)
     seed: int = 42                   # reproducible strategy choice / sampling
-    respect_robots: bool = True      # capability add (absent in reference, T7)
     checkpoint_every: int = 1        # waves between checkpoints (bench: raise)
     checkpoint_retain: int = 3       # keep the last K checkpoints (0 = all)
     # bench realism: the corpus fetch client sleeps the corpus'

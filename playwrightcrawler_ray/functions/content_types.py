@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
-
 from .content_type_tables import OCTETSTREAM_PATTERNS, REGISTRATION_ORDER
 
 _SANITIZE_RE = re.compile(r'^\s*(?:content-type:)?\s*"?\'?', re.I)
@@ -121,14 +119,6 @@ class ContentTypeRouter:
         if len(self._memo) < 65536:  # crawls see few distinct MIMEs
             self._memo[ct] = out
         return out
-
-    def route_array(self, content_types) -> np.ndarray:
-        """Vectorized routing with a per-batch memo: real batches contain
-        a handful of distinct MIME strings, so we match uniques only."""
-        arr = np.asarray(content_types, dtype=object)
-        uniques, inverse = np.unique(arr.astype(str), return_inverse=True)
-        routed = np.array([self.route_one(u) for u in uniques], dtype=object)
-        return routed[inverse]
 
 
 # Extension → expected category (reference EXTENSION_MAP, :969-1080 —

@@ -59,7 +59,6 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
-from urllib.parse import urlsplit
 
 import pyarrow as pa
 
@@ -69,17 +68,18 @@ import ray.data
 from ..config import SEEN_CAPACITY, CrawlConfig
 from ..corpus.generate import CorpusData
 from ..state.dedup import DedupShard
-from ..state.frontier import FrontierShard, shard_of
+from ..state.frontier import FrontierShard
+from ..stages.process import ProcessContext, offers_for
 from ..stages.ray_stages import (
     FetchBackend,
     make_decode_fn,
     make_fetch_fn,
     make_imgfetch_fn,
     make_parse_fn,
+    route,
     stage_chain,
 )
 from ..urlkit.canonicalize import canonicalize_url
-from ..urlkit.ids import url_id_64
 from .strategy import apply_strategy, choose_strategy, strategy_plan, wave_rng
 
 # cluster CPUs per frontier shard and per dedup shard when the config
@@ -156,17 +156,6 @@ class _RunState:
         return self.empty_streak <= 64
 
 
-def _seed_offers(seeds: list[str], cfg: CrawlConfig, ctx_policy) -> list[tuple]:
-    items = []
-    for raw in seeds:
-        cu = canonicalize_url(raw)
-        p = urlsplit(cu)
-        if not p.hostname or not ctx_policy.admit(cu, p.hostname):
-            continue
-        items.append((cu, url_id_64(cu), p.hostname, p.path or "/", 0))
-    return items
-
-
 class CrawlEngine:
     """Owns the actor fleet and the wave loop. Ray must already be
     initialised by the caller (driver contract)."""
@@ -199,8 +188,6 @@ class CrawlEngine:
             cfg.http_addr if cfg.fetch_backend == "http"
             else put_corpus_index(corpus, latency=cfg.simulate_latency),
             cfg.fetch_retries, cfg.fetch_backoff_base_s, cfg.range_resume)
-        from ..stages.process import ProcessContext
-
         self._pctx = ProcessContext(self.cfg)
         self._seed_robots()
 
@@ -229,19 +216,8 @@ class CrawlEngine:
     def _seed_robots(self) -> None:
         # robots preload: "fetched once per host through the corpus
         # interface", cached on the owning shard (north-rule robots cache)
-        if self.cfg.respect_robots and self.corpus.robots:
-            self._route("set_robots", self.corpus.robots.items(), 0)
-
-    def _route(self, method: str, items, host_at: int) -> None:
-        """Call frontier ``method`` once per shard, with the items it owns."""
-        by_shard: dict[int, list] = {}
-        for it in items:
-            by_shard.setdefault(
-                shard_of(it[host_at], len(self.shards)), []
-            ).append(it)
-        if by_shard:  # even an empty ray.get cost ~70 µs in the wave loop
-            ray.get([getattr(self.shards[s], method).remote(v)
-                     for s, v in by_shard.items()])
+        route(self.shards, "set_robots", self.corpus.robots.items(), 0,
+              ray.get)
 
     # --- actor-loss recovery (VERDICT r4 item 5) ---
 
@@ -309,7 +285,7 @@ class CrawlEngine:
         return candidates, sum(p[2] for p in parts)
 
     def _push_back(self, leftover: list[tuple[int, str, str]]) -> None:
-        self._route("push_back", leftover, 2)
+        route(self.shards, "push_back", leftover, 2, ray.get)
 
     # --- checkpointing (per-partition: one blob per shard per wave) ---
 
@@ -423,9 +399,9 @@ class CrawlEngine:
         os.makedirs(order_dir, exist_ok=True)
         meta = self.restore_latest_checkpoint() if resume else None
         self._fns_ref = ray.put((make_fetch_fn(self.backend),
-                                 make_parse_fn(cfg, self.backend),
+                                 make_parse_fn(cfg, self.backend, self.shards),
                                  make_imgfetch_fn(self.backend, self.dedup),
-                                 make_decode_fn(cfg, self.dedup, self.shards)))
+                                 make_decode_fn(cfg, self.dedup)))
         if meta is None:
             shutil.rmtree(order_dir, ignore_errors=True)
             os.makedirs(order_dir, exist_ok=True)
@@ -436,8 +412,10 @@ class CrawlEngine:
                 # silently restore another run's frontier/dedup state
                 shutil.rmtree(os.path.join(cfg.output_dir, "checkpoints"),
                               ignore_errors=True)
-            seeds = _seed_offers(self.corpus.seeds, cfg, self._pctx.policy)
-            self._route("offer", seeds, 2)
+            seeds = [(*t, 0) for raw in self.corpus.seeds
+                     for t in offers_for(self._pctx, canonicalize_url(raw),
+                                         False)]
+            route(self.shards, "offer", seeds, 2, ray.get)
             return _RunState()
         start = meta["wave"] + 1
         st = _RunState(start, start, list(meta["wave_log"]))
@@ -525,9 +503,9 @@ class CrawlEngine:
     def _run_chunks(self, wave: int, selected: list[tuple[int, str, str]]) -> str:
         """Run the wave's chunk tasks, at most ``4 × cluster CPUs`` in
         flight, and return the wave's output dir once all are done. Link
-        offers + dedup claims happen INSIDE the decode stage (awaited per
-        batch), so this barrier means: every link row is durable AND
-        offered, every dedup claim staged."""
+        offers happen inside the parse stage and dedup claims inside
+        imgfetch and decode (awaited per chunk), so this barrier means:
+        every link row is durable AND offered, every dedup claim staged."""
         _, urls, hosts = zip(*selected)
         tbl = pa.table({
             "url": pa.array(urls, pa.string()),

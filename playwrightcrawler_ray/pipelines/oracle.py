@@ -43,7 +43,7 @@ def run_oracle(corpus: CorpusData, cfg: CrawlConfig | None = None,
                max_waves: int | None = None) -> OracleResult:
     cfg = cfg or CrawlConfig()
     ctx = ProcessContext(cfg)
-    if cfg.render_js and cfg.execute_external_scripts:
+    if cfg.render_js:
         # external <script src> resolver over the same corpus the
         # engine broadcasts — decode/canonicalization shared through
         # process.make_script_fetcher
@@ -61,7 +61,7 @@ def run_oracle(corpus: CorpusData, cfg: CrawlConfig | None = None,
     heaps: dict[str, list[tuple[int, str]]] = {}
     robots: dict[str, RobotsRules] = {
         h: RobotsRules.parse(t) for h, t in corpus.robots.items()
-    } if cfg.respect_robots else {}
+    }
     cooldown: dict[str, int] = {}
 
     def offer(url: str, host: str, path: str, wave: int) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urljoin, urlsplit
 
 from ..config import CrawlConfig
-from ..core.schemas import empty_unified_row
+from ..core.schemas import MAX_LEVELS, empty_unified_row
 from ..functions.content_types import ContentTypeRouter
 from ..functions.html import extract_page
 from ..functions.opendir import is_open_directory
@@ -45,6 +45,8 @@ from ..urlkit.levels import (
 )
 
 Offer = tuple[str, int, str, str, int]  # (url, id64, host, path, wave)
+
+MAX_WEBCONTENT_SIZE = 900_000  # reference MAX_WEBCONTENT_SIZE
 
 # --- user-extension surface (reference §2.10: @function_for_content_type
 # registry + README.md:203-212 extension recipe). A handler is
@@ -110,8 +112,7 @@ class ProcessContext:
     crawl's fetch client (stages/ray_stages.py), the oracle a
     corpus-dict one —
     both through :func:`make_script_fetcher` so decode + URL
-    canonicalization are shared. ``None`` (or
-    ``cfg.execute_external_scripts`` off) skips external scripts."""
+    canonicalization are shared. ``None`` skips external scripts."""
 
     cfg: CrawlConfig
     router: ContentTypeRouter = field(init=False)
@@ -129,12 +130,11 @@ class ProcessContext:
 
         for mod in self.cfg.plugin_modules:
             importlib.import_module(mod)  # registers content handlers
-        self.router = ContentTypeRouter(use_octet_stream=self.cfg.use_octet_stream)
+        self.router = ContentTypeRouter()
         self.policy = UrlPolicy(
             host_block=self.cfg.host_regex_block_list,
             host_allow=self.cfg.host_regex_allow_list,
             url_block=self.cfg.url_regex_block_list,
-            max_url_length=self.cfg.max_url_length,
         )
 
 
@@ -171,8 +171,8 @@ def enrich_content_row(row: dict, ctx: ProcessContext) -> dict | None:
     row["has_query"] = has_q
     row["query_variables"] = qvars
     row["query_values"] = qvals
-    row.update(get_host_levels(host, ctx.cfg.max_host_levels))
-    row.update(get_directory_levels(parts.path, ctx.cfg.max_dir_levels))
+    row.update(get_host_levels(host, MAX_LEVELS))
+    row.update(get_directory_levels(parts.path, MAX_LEVELS))
     row["file_extension"] = file_extension_of(parts.path)
     row["node_id"] = ctx.cfg.node_id
     return row
@@ -186,6 +186,35 @@ def _base_row(url: str, host: str, wave: int, **kw) -> dict:
     )
     row.update(kw)
     return row
+
+
+def offers_for(ctx: ProcessContext, cu: str, expand_tree: bool) -> tuple:
+    """The ``(url, id64, host, path)`` frontier offers of one canonical
+    URL: admission check, id64, and (for top-level links) the
+    ancestor-directory expansion (reference preprocess expansion,
+    playwrightcrawler.py:1837-1845 via get_directory_tree). Empty when
+    the URL is not admitted. Memoized per process on the context —
+    links repeat heavily across the pages of a host, and every admitted
+    URL fans out into the same ancestor chain."""
+    key = (cu, expand_tree)
+    hit = ctx.offer_memo.get(key)
+    if hit is not None:
+        return hit
+    out: list[tuple] = []
+    p = urlsplit(cu)
+    h = p.hostname
+    if h and ctx.policy.admit(cu, h):
+        out.append((cu, url_id_64(cu), h, p.path or "/"))
+        if expand_tree and ctx.cfg.hunt_open_directories:
+            from ..urlkit.levels import get_directory_tree
+
+            for ancestor in get_directory_tree(cu):
+                out.extend(offers_for(ctx, canonicalize_url(ancestor), False))
+    res = tuple(out)
+    if len(ctx.offer_memo) >= 1 << 16:
+        ctx.offer_memo.clear()
+    ctx.offer_memo[key] = res
+    return res
 
 
 def process_fetched(
@@ -218,35 +247,8 @@ def process_fetched(
     imgrefs: list[dict] = []
     next_wave = wave + 1
 
-    def _offers_for(cu: str, expand_tree: bool) -> tuple:
-        """Pure offer expansion for one canonical URL: admission check,
-        id64, and (for top-level links) the ancestor-directory expansion
-        (reference preprocess expansion, playwrightcrawler.py:1837-1845
-        via get_directory_tree). Memoized per process on the context —
-        links repeat heavily across the pages of a host, and every
-        admitted URL fans out into the same ancestor chain."""
-        key = (cu, expand_tree)
-        hit = ctx.offer_memo.get(key)
-        if hit is not None:
-            return hit
-        out: list[tuple] = []
-        p = urlsplit(cu)
-        h = p.hostname
-        if h and ctx.policy.admit(cu, h):
-            out.append((cu, url_id_64(cu), h, p.path or "/"))
-            if expand_tree and ctx.cfg.hunt_open_directories:
-                from ..urlkit.levels import get_directory_tree
-
-                for ancestor in get_directory_tree(cu):
-                    out.extend(_offers_for(canonicalize_url(ancestor), False))
-        res = tuple(out)
-        if len(ctx.offer_memo) >= 1 << 16:
-            ctx.offer_memo.clear()
-        ctx.offer_memo[key] = res
-        return res
-
     def offer_canonical(cu: str, expand_tree: bool = True) -> None:
-        for u, i, h, pth in _offers_for(cu, expand_tree):
+        for u, i, h, pth in offers_for(ctx, cu, expand_tree):
             offers.append((u, i, h, pth, next_wave))
 
     def offer_link(link_url: str) -> None:
@@ -288,32 +290,15 @@ def process_fetched(
             # functions/render + functions/jsinterp
             from ..functions.render import render_html
 
-            fetcher = (ctx.script_fetch
-                       if ctx.cfg.execute_external_scripts else None)
-            text = render_html(text, url, script_fetch=fetcher)
+            text = render_html(text, url, script_fetch=ctx.script_fetch)
         ex = extract_page(text)
         is_od, od_pattern = is_open_directory(text, url)
-        min_web = (
-            ex.min_webcontent[: ctx.cfg.max_webcontent_size]
-            if ctx.cfg.extract_min_webcontent
-            else ""
-        )
-        words = (
-            extract_top_words(
-                ex.min_webcontent,
-                remove_special_chars=ctx.cfg.words_remove_special_chars,
-                to_lower=ctx.cfg.words_to_lower,
-                min_len=ctx.cfg.words_min_len,
-                max_len=ctx.cfg.words_max_len,
-                max_words=ctx.cfg.words_max_words,
-            )
-            if ctx.cfg.extract_words
-            else []
-        )
         page = _base_row(
             url, host, wave, status=status, content_type=ctype, category=category,
             source="content_type_download", isopendir=is_od,
-            opendir_pattern=od_pattern, words=words, min_webcontent=min_web,
+            opendir_pattern=od_pattern,
+            words=extract_top_words(ex.min_webcontent),
+            min_webcontent=ex.min_webcontent[:MAX_WEBCONTENT_SIZE],
         )
         r = enrich_content_row(page, ctx)
         if r:

@@ -32,6 +32,7 @@ import ray
 
 from ..config import CrawlConfig
 from ..core.schemas import UNIFIED_SCHEMA
+from ..state.frontier import shard_of
 from .process import ProcessContext, process_fetched, process_image_payload
 
 TRANSIT_SCHEMA = UNIFIED_SCHEMA.append(pa.field("body", pa.binary()))
@@ -199,31 +200,48 @@ def make_fetch_fn(backend: FetchBackend):
     return fetch
 
 
-def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend):
-    """Fetched batch → unified page/imgref/link rows.
+def route(handles: list, method: str, items, host_at: int, wait) -> None:
+    """Call frontier-shard ``method`` once per shard that owns any of
+    ``items`` (``shard_of`` on ``item[host_at]``), with the items it
+    owns, and ``wait`` on the calls. No call when nothing is routed:
+    even an empty ``ray.get`` costs ~70 µs in the wave loop."""
+    by_shard: dict[int, list] = defaultdict(list)
+    for it in items:
+        by_shard[shard_of(it[host_at], len(handles))].append(it)
+    if by_shard:
+        wait([getattr(handles[s], method).remote(v)
+              for s, v in by_shard.items()])
 
-    With ``cfg.execute_external_scripts``, the render pass resolves
-    external ``<script src>`` subresources through the same fetch
-    client as the page (memoized per process — ``_SCRIPT_MEMO``) and
-    executes them in document order (reference: Playwright runs every
-    page script, playwrightcrawler.py:5174-5185).
+
+def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend,
+                  frontier_handles: list):
+    """Fetched batch → unified page/imgref/link rows, plus the batch's
+    discovered links offered to ``frontier_handles``.
+
+    With ``cfg.render_js``, the render pass resolves external
+    ``<script src>`` subresources through the same fetch client as the
+    page (memoized per process — ``_SCRIPT_MEMO``) and executes them in
+    document order (reference: Playwright runs every page script,
+    playwrightcrawler.py:5174-5185).
 
     Discovered links are emitted IN-BAND as ``kind='link'`` rows (the
     reference persists its links index the same way,
-    playwrightcrawler.py:1636-1651); decode offers them to the
-    frontier inside the same chunk task, through ``_wait_holding_cpu``
-    (``make_decode_fn``)."""
-
-    scripts = cfg.execute_external_scripts and cfg.render_js
+    playwrightcrawler.py:1636-1651). The offer tuples ``process_fetched``
+    built for them go to the frontier here, once per URL per batch
+    (pages of one host cluster in a batch and rediscover the same URLs
+    heavily), awaited through ``_wait_holding_cpu``: the chunk task runs
+    every stage, so the wave's chunk barrier implies every offer was
+    processed."""
 
     def parse(batch: pa.Table) -> pa.Table:
         ctx = _ctx_for(cfg)
-        if scripts:
+        if cfg.render_js:
             # set per batch: the context is shared by every crawl with
             # this config, the fetcher belongs to this crawl's backend
             ctx.script_fetch = _script_fetcher(backend)
         rows_out: list[dict] = []
         link_url, link_host, link_parent, link_wave = [], [], [], []
+        offered: dict[str, tuple] = {}  # url → first offer, in row order
         cols = batch.select(
             ["url", "host", "wave", "ord", "status", "content_type_raw",
              "body", "redirect_to"]
@@ -241,11 +259,15 @@ def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend):
                 row["ord"] = base_ord + seq
             rows_out.extend(content_rows)
             rows_out.extend(imgrefs)
-            for url, _h64, host, _path, wave in offers:
+            for o in offers:
+                url, _h64, host, _path, wave = o
                 link_url.append(url)
                 link_host.append(host)
                 link_parent.append(r["host"])
-                link_wave.append(int(wave))
+                link_wave.append(wave)
+                offered.setdefault(url, o)
+        route(frontier_handles, "offer", offered.values(), 2,
+              _wait_holding_cpu)
         main = pa.Table.from_pylist(rows_out, schema=TRANSIT_SCHEMA)
         if not link_url:
             return main
@@ -271,43 +293,6 @@ def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend):
         return pa.concat_tables([main, links])
 
     return parse
-
-
-def make_offer_fn(frontier_handles: list):
-    """Link relay: batches of ``kind='link'`` rows → shard-routed
-    frontier offers. The decode stage calls it on each batch, so the
-    relay work (sha1, urlsplit, actor RPC) runs in the chunk tasks
-    instead of a driver loop."""
-    from urllib.parse import urlsplit
-
-    from ..state.frontier import shard_of
-    from ..urlkit.ids import url_id_64
-
-    n = len(frontier_handles)
-
-    def offer(batch: pa.Table) -> pa.Table:
-        by_shard: dict[int, list] = defaultdict(list)
-        seen_local: set[str] = set()  # in-batch dedup: pages of one host
-        # cluster in a batch and rediscover the same URLs heavily
-        for u, h, w in zip(
-            batch.column("url").to_pylist(),
-            batch.column("host").to_pylist(),
-            batch.column("wave").to_pylist(),
-        ):
-            if u in seen_local:
-                continue
-            seen_local.add(u)
-            p = urlsplit(u)
-            by_shard[shard_of(h, n)].append(
-                (u, url_id_64(u), h, p.path or "/", int(w))
-            )
-        if by_shard:
-            _wait_holding_cpu(
-                [frontier_handles[s].offer.remote(v) for s, v in by_shard.items()]
-            )
-        return pa.table({"offered": pa.array([batch.num_rows], pa.int64())})
-
-    return offer
 
 
 def _claim_new(dedup_handles: list, keyed: list[tuple[int, int]],
@@ -395,21 +380,14 @@ def make_imgfetch_fn(backend: FetchBackend, dedup_handles: list):
     return imgfetch
 
 
-def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
-                   frontier_handles: list):
+def make_decode_fn(cfg: CrawlConfig, dedup_handles: list):
     """imgref rows → decoded content doc + (if the pixel hash was not
     seen in any PRIOR wave, per the global DedupShard service) the image
     row; page rows pass through untouched. Output schema: UNIFIED
     (transit body dropped). In-wave pixel-hash duplicates are all kept
     (``stage_many_keyed``) and resolved deterministically by ``ord`` at the
-    wave barrier — see DedupShard's two-phase protocol.
-
-    The batch's link rows are ALSO offered to ``frontier_handles``
-    here (awaited with the CPU-holding wait): decode is the last stage
-    before the write sink, so the wave's write barrier then implies
-    every offer was processed — same exactness as a separate post-wave
-    offer pass, without a second pass per wave."""
-    offer = make_offer_fn(frontier_handles)
+    wave barrier — see DedupShard's two-phase protocol. Link rows pass
+    through like page rows; parse already offered them."""
 
     def _stamp_yyyymm(t: pa.Table) -> pa.Table:
         # monthly time-partition key on every persisted row (decode is
@@ -421,9 +399,6 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list,
 
     def decode(batch: pa.Table) -> pa.Table:
         ctx = _ctx_for(cfg)
-        links = batch.filter(pc.equal(batch.column("kind"), "link"))
-        if links.num_rows:
-            offer(links.select(["url", "host", "wave"]))
         img_mask = pc.equal(batch.column("kind"), "imgref")
         passthrough = batch.filter(pc.invert(img_mask)).drop_columns(["body"])
         img_part = batch.filter(img_mask)

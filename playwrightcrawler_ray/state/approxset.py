@@ -12,7 +12,6 @@ no-false-negative property is tested.
 All structures share one API over 64-bit item hashes (``url_id_64``):
 
 - ``add_if_absent(h) -> bool``  (True = newly added)
-- ``add_many(hs) -> list[bool]``
 - ``__contains__``
 - ``state() / from_state()``   (checkpointable)
 
@@ -49,9 +48,6 @@ class ExactSet:
             return False
         self._s.add(h)
         return True
-
-    def add_many(self, hs) -> list[bool]:
-        return [self.add_if_absent(int(h)) for h in hs]
 
     def __contains__(self, h: int) -> bool:
         return h in self._s
@@ -144,9 +140,6 @@ class CuckooFilter:
         self._count += 1
         return True
 
-    def add_many(self, hs) -> list[bool]:
-        return [self.add_if_absent(int(h)) for h in hs]
-
     def __len__(self) -> int:
         return self._count
 
@@ -203,9 +196,6 @@ class BloomFilter:
         np.bitwise_or.at(self._bits, byte_idx, masks)
         self._count += 1
         return True
-
-    def add_many(self, hs) -> list[bool]:
-        return [self.add_if_absent(int(h)) for h in hs]
 
     def add_bulk(self, hs: np.ndarray) -> None:
         """Vectorized insert of a uint64 hash array (the build side of

@@ -145,13 +145,6 @@ def test_route_last_match_order():
     assert router.route_one("application/x-cbz") == "comic"
 
 
-def test_route_array_vectorized():
-    router = ContentTypeRouter()
-    cts = ["text/html", "image/png", "text/html", "application/zip"]
-    out = list(router.route_array(cts))
-    assert out == ["html", "image", "html", "compressed"]
-
-
 def test_octet_stream_patterns():
     # octet-stream aliases join every binary category when enabled
     # (USE_OCTET_STREAM, reference :940-958); with last-match dispatch

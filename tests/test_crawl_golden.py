@@ -313,6 +313,33 @@ def test_error_taxonomy_rows_present(engine_result, ray_session):
     assert pages["isopendir"].fillna(False).any()
 
 
+def test_every_link_row_is_offered_once_per_chunk(engine_result, corpus):
+    """The frontier's ``offered`` counter is the seeds the engine offers
+    plus, per chunk file, the distinct ``kind='link'`` URLs in it: the
+    parse stage offers each link URL of its chunk exactly once."""
+    import glob
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from playwrightcrawler_ray.stages.process import ProcessContext, offers_for
+    from playwrightcrawler_ray.urlkit.canonicalize import canonicalize_url
+
+    cfg, res = engine_result
+    ctx = ProcessContext(cfg)
+    seeds = sum(len(offers_for(ctx, canonicalize_url(raw), False))
+                for raw in corpus.seeds)
+    parts = glob.glob(os.path.join(cfg.output_dir, "wave=*", "part-*.parquet"))
+    links = 0
+    for path in parts:
+        t = pq.read_table(path, columns=["kind", "url"])
+        urls = t.filter(pc.equal(t.column("kind"), "link")).column("url")
+        links += len(pc.unique(urls))
+    assert seeds > 0 and links > 0
+    assert res.stats["frontier"]["offered"] == seeds + links
+
+
 def test_cuckoo_seen_mode_matches_oracle_ordering(ray_session, corpus, oracle):
     """The scale-path cuckoo filter must reproduce the exact-mode crawl
     (FP probability at this cardinality is ~1e-4 per probe; a false

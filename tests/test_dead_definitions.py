@@ -1,8 +1,11 @@
-"""Every top-level function and class in the package is referenced by
-an AST name (a load, an attribute or an import) from code that runs:
-the package itself, ``__ray_entry__.py``, ``bench.py``, the non-test
-``perfbench`` modules and ``scripts/``. A definition that only tests
-reach sits on ``ALLOWED`` with a one-line reason; an entry that becomes
+"""Every top-level function and class in the package, and every
+non-dunder method of a top-level class, is referenced by an AST name (a
+load, an attribute or an import) from code that runs: the package
+itself, ``__ray_entry__.py``, ``bench.py``, the non-test ``perfbench``
+modules and ``scripts/``. For methods a string constant counts too,
+because actor RPCs are dispatched by method name
+(``stages/ray_stages.route``). A definition that only tests reach sits
+on ``ALLOWED`` with a one-line reason; an entry that becomes
 referenced, or is deleted, must leave the list."""
 
 from __future__ import annotations
@@ -16,8 +19,13 @@ PKG = ROOT / "playwrightcrawler_ray"
 _ENCODER = "fixture encoder: builds test inputs for its decoder's tests"
 _ACTOR = ("stage actor run only by tests; wiring it into a pipeline or "
           "dropping it is its own decision")
+_HTMLPARSER = "HTMLParser callback: the base class calls it by name"
 
 ALLOWED = {
+    "functions/html.py::_Extractor.handle_starttag": _HTMLPARSER,
+    "functions/html.py::_Extractor.handle_endtag": _HTMLPARSER,
+    "functions/html.py::_Extractor.handle_data": _HTMLPARSER,
+    "functions/html.py::_Extractor.handle_startendtag": _HTMLPARSER,
     "functions/jsinterp.py::run_script":
         "one-call API of the JS sandbox; the renderer drives Interp",
     "functions/text.py::count_tokens":
@@ -62,10 +70,16 @@ def _runtime_sources() -> list[pathlib.Path]:
             ROOT / "bench.py", *bench, *(ROOT / "scripts").rglob("*.py")]
 
 
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
+
+
 def unreferenced() -> list[str]:
-    """``path::name`` of each top-level package definition that no
-    runtime source names."""
+    """``path::name`` of each top-level package definition, and
+    ``path::Class.method`` of each non-dunder method, that no runtime
+    source names."""
     names: set[str] = set()
+    strings: set[str] = set()
     for path in _runtime_sources():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -74,14 +88,23 @@ def unreferenced() -> list[str]:
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rsplit(".", 1)[-1])
-    return [
-        f"{path.relative_to(PKG).as_posix()}::{node.name}"
-        for path in sorted(PKG.rglob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-        and node.name not in names
-    ]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    dead = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, _DEFS):
+                continue
+            if node.name not in names:
+                dead.append(f"{rel}::{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead.extend(
+                    f"{rel}::{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, _FUNCS)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                    and m.name not in names and m.name not in strings)
+    return dead
 
 
 def test_every_definition_is_referenced_or_allowed():

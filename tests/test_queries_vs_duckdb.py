@@ -390,11 +390,15 @@ def test_hll_distinct_users_agrees_with_exact(entrymod):
         assert abs(e - n) <= max(tol * n, 3), (et, n, e)
 
 
-def test_words_topk_mg_agrees_with_exact(entrymod):
+@pytest.mark.parametrize("k", [64, 8])
+def test_words_topk_mg_agrees_with_exact(entrymod, k):
     """The distributed MG pipeline's output satisfies the summary
-    guarantee against the SQL-oracled exact twin on the test corpus."""
-    qs = entrymod.queries()
-    mg = qs["words_topk_mg"](SF_DIR)
+    guarantee against the SQL-oracled exact twin on the test corpus.
+    At k = 8 the batches' vocabularies overflow the counters, so the
+    decrement path runs and ``err_bound`` is positive."""
+    from playwrightcrawler_ray.ops.sketch import q_words_topk_mg
+
+    mg = q_words_topk_mg(SF_DIR, k)
     exact = _duck(
         "SELECT w AS word, COUNT(*) AS cnt FROM documents, "
         "UNNEST(LIST_FILTER(regexp_split_to_array(text, '\\s+'), "
@@ -402,7 +406,9 @@ def test_words_topk_mg_agrees_with_exact(entrymod):
     ).set_index("word")["cnt"]
     assert len(mg) > 0
     d = int(mg["err_bound"].iloc[0])
-    assert d <= int(exact.sum()) // (65)  # k=64
+    assert d <= int(exact.sum()) // (k + 1)
+    if k == 8:
+        assert d > 0
     for word, est in zip(mg["word"], mg["est"]):
         true = int(exact[word])
         assert est <= true <= est + d
