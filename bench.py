@@ -251,6 +251,7 @@ def leg_crawl(hosts: int = CRAWL_HOSTS,
             "pages_fetched": res.stats["pages_fetched"],
             "pages_per_sec": round(res.stats["pages_per_sec"], 2),
             "frontier_ops": res.stats["frontier_ops"],
+            "frontier_round_trips": res.stats["frontier_round_trips"],
             "frontier_ops_per_sec": round(
                 res.stats["frontier_ops_per_sec"], 2),
             "waves": res.waves,

@@ -24,9 +24,15 @@ def partial_grouped_agg(
     combine: Callable[[pd.DataFrame], pd.DataFrame],
 ) -> pd.DataFrame:
     """build_partial: batch → partial aggregate rows (per-batch groupby);
-    combine: all partial rows → final aggregate rows."""
+    combine: all partial rows → final aggregate rows. A zero-row input
+    still returns combine's typed columns."""
     parts = ds.map_batches(build_partial, batch_format="pandas")
     out = parts.repartition(1).map_batches(
         combine, batch_format="pandas", batch_size=None
-    )
-    return out.to_pandas()
+    ).to_pandas()
+    if len(out.columns) == 0:
+        # no partial rows arrived, so Ray never ran combine: run both
+        # on an empty batch of the input's schema instead
+        empty = ds.schema().base_schema.empty_table().to_pandas()
+        out = combine(build_partial(empty))
+    return out

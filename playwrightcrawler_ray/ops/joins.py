@@ -262,10 +262,10 @@ def q_bloom_semijoin(sf_dir: str, fp_rate: float = 1e-3) -> pd.DataFrame:
         sel = df.loc[df["o_orderpriority"] == "1-URGENT", "o_orderkey"]
         return pd.DataFrame({"k": sel.to_numpy(dtype=np.int64)})
 
-    keys = np.sort(
-        orders.map_batches(build_keys, batch_format="pandas")
-        .to_pandas()["k"].to_numpy(dtype=np.int64)
-    )
+    # a zero-row frame from ``to_pandas`` has no columns at all
+    k = orders.map_batches(build_keys, batch_format="pandas").to_pandas()
+    keys = np.sort(k["k"].to_numpy(dtype=np.int64) if len(k.columns)
+                   else np.empty(0, np.int64))
     bloom = BloomFilter(capacity=max(64, len(keys)), fp_rate=fp_rate)
     bloom.add_bulk(_splitmix64(keys))
     bc_ref = ray.put((bloom.state(), keys))

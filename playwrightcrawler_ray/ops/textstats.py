@@ -168,7 +168,8 @@ def q_doc_exact_dedup(sf_dir: str) -> pd.DataFrame:
     from .aggutil import partial_grouped_agg
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("text_hash", as_index=False, sort=False).agg(
+        by_hash = add_hash(df).groupby("text_hash", as_index=False, sort=False)
+        return by_hash.agg(
             keeper_doc_id=("doc_id", "min"), n_copies=("doc_id", "size")
         )
 
@@ -177,8 +178,7 @@ def q_doc_exact_dedup(sf_dir: str) -> pd.DataFrame:
             keeper_doc_id=("keeper_doc_id", "min"), n_copies=("n_copies", "sum")
         )
 
-    hashed = ds.map_batches(add_hash, batch_format="pandas")
-    out = partial_grouped_agg(hashed, partial, combine)
+    out = partial_grouped_agg(ds, partial, combine)
     return out[["text_hash", "keeper_doc_id", "n_copies"]]
 
 

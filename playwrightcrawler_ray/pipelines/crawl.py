@@ -6,9 +6,11 @@ playwrightcrawler.py:5345-5414): instead of N lock-coordinated OS
 processes polling Elasticsearch, one logical job passes each wave
 through the barriers of ``CrawlEngine.run``, in order:
 
-    _select: step the sharded frontier actors (each pops, keeps back
-      what the wave's strategy plan cannot select, returns the rest),
-      run the strategy on the merged rows, push back what it left
+    _select: take the wave's merged selectable rows from the sharded
+      frontier actors (each pops, keeps back what the wave's strategy
+      plan cannot select, returns the rest; the shards run empty
+      waves ahead, so the driver makes one frontier round trip per
+      non-empty wave), run the strategy on them, push back what it left
     → _run_chunks: fetch → parse(+offer links) → imgfetch →
       decode(+dedup claims), one parquet file per chunk under ``wave=K``
     → _commit: the dedup shards commit the wave's claims; conflict
@@ -29,13 +31,18 @@ exactly what it would from the whole merged pop.
 
 Scale notes (100 TB / 10^10 URLs):
 - frontier shards scale horizontally (``hash(host) % num_shards``); a
-  wave is one ``step`` RPC per shard, which ships only the rows the
-  strategy may select (none in a ghost or unmatched ``host_prefix``
-  wave, a shard's top ``wave_size`` for ``oldest``), plus a push-back
-  RPC when the strategy leaves some of those. Unless pinned, the
-  frontier and dedup fleets hold one shard per ``CPUS_PER_SHARD``
-  cluster CPUs — on a small box the actors idle and the per-wave RPC
-  fan-out is pure overhead;
+  shard's ``step`` ships only the rows the strategy may select (none
+  in a ghost or unmatched ``host_prefix`` wave, a shard's top
+  ``wave_size`` for ``oldest``). Each shard runs the coming waves ahead
+  (``step_ahead``) until its first wave with selectable rows, so a
+  non-empty wave costs one RPC per shard and the empty waves before it
+  none of their own, plus a push-back RPC when the strategy leaves
+  some of the selectable rows. A shard that ran past the fleet's first
+  non-empty wave rolls back the waves it ran beyond it: at most 64
+  steps per window, paid on the shard, not in round trips. Unless
+  pinned, the frontier and dedup fleets hold one shard per
+  ``CPUS_PER_SHARD`` cluster CPUs — on a small box the actors idle and
+  the per-wave RPC fan-out is pure overhead;
 - the corpus fetch client gives way to the HTTP one
   (``fetch_backend="http"``; same ``lookup`` contract, no stage
   change);
@@ -80,11 +87,13 @@ from ..stages.ray_stages import (
     stage_chain,
 )
 from ..urlkit.canonicalize import canonicalize_url
-from .strategy import apply_strategy, choose_strategy, strategy_plan, wave_rng
+from .strategy import apply_strategy, choose_strategy, wave_rng
 
 # cluster CPUs per frontier shard and per dedup shard when the config
 # leaves the counts at 0 (derive)
 CPUS_PER_SHARD = 16
+# the wave loop stops after this many empty waves in a row
+MAX_EMPTY_STREAK = 64
 
 
 @ray.remote
@@ -135,7 +144,9 @@ class CrawlResult:
 @dataclass
 class _RunState:
     """What the wave loop carries from wave to wave. ``_init_run_state``
-    builds it at the start of a run and after actor-loss recovery."""
+    builds it at the start of a run and after actor-loss recovery, so
+    the frontier answers buffered for coming waves and the pending
+    rollbacks start empty with every fresh fleet."""
 
     start_wave: int = 0
     wave: int = 0
@@ -143,6 +154,10 @@ class _RunState:
     order_files: list[str] = field(default_factory=list)
     pages_fetched: int = 0
     empty_streak: int = 0
+    limit: int = 0
+    # wave -> merged (candidates, queued) the frontier already answered
+    ahead: dict[int, tuple[list, int | None]] = field(default_factory=dict)
+    rollbacks: list = field(default_factory=list)  # refs not yet awaited
 
     def add_wave(self, order_file: str, record: dict) -> None:
         self.wave_log.append(record)
@@ -150,10 +165,17 @@ class _RunState:
         self.pages_fetched += record["urls"]
 
     def advance(self, selected: bool) -> bool:
-        """Step to the next wave; False after 65 empty waves in a row."""
+        """Step to the next wave; False once more than
+        ``MAX_EMPTY_STREAK`` waves in a row were empty."""
         self.wave += 1
         self.empty_streak = 0 if selected else self.empty_streak + 1
-        return self.empty_streak <= 64
+        return self.empty_streak <= MAX_EMPTY_STREAK
+
+    def window(self) -> int:
+        """Waves the frontier may run from ``wave`` if every one is
+        empty: no further than ``limit`` and the empty-streak stop."""
+        return min(self.limit - self.wave,
+                   MAX_EMPTY_STREAK + 1 - self.empty_streak)
 
 
 class CrawlEngine:
@@ -270,19 +292,36 @@ class CrawlEngine:
     def _pop_merged(
         self, wave: int
     ) -> tuple[list[tuple[int, str, str]], int | None]:
-        """One ``step`` RPC per shard: every shard pops, keeps back what
-        the wave's strategy plan cannot select, and returns the rest.
-        Returns the merged selectable candidates and, when no shard
-        popped anything, the fleet's queue size (else None)."""
-        cfg = self.cfg
-        plan = strategy_plan(wave_rng(cfg.seed, wave), cfg.method_weights,
-                             cfg.wave_size, cfg.reproduce_reference_bugs)
-        parts = ray.get([s.step.remote(wave, cfg.per_host_per_wave, plan)
-                         for s in self.shards])
-        candidates = sorted(chain.from_iterable(p[0] for p in parts))
-        if any(p[1] for p in parts):
-            return candidates, None
-        return candidates, sum(p[2] for p in parts)
+        """The wave's merged selectable candidates and, when no shard
+        popped anything, the fleet's queue size (else None), served from
+        the answers the last ``step_ahead`` round trip buffered. When the
+        buffer has none for ``wave``: one ``step_ahead`` RPC per shard,
+        each stepping waves ``wave`` on (at most ``st.window()``) until
+        its first wave with selectable rows. The fleet has then answered
+        every wave up to ``w*``, the earliest wave at which a shard
+        stopped, as one ``step`` RPC per shard per wave would have.
+        Shards that ran past ``w*`` roll those waves back before their
+        next message (same-caller actor order); the rollbacks are
+        awaited with the next reply."""
+        st, cfg = self._st, self.cfg
+        if wave not in st.ahead:
+            refs = [s.step_ahead.remote(
+                        wave, cfg.per_host_per_wave, st.window(), cfg.seed,
+                        cfg.method_weights, cfg.wave_size,
+                        cfg.reproduce_reference_bugs)
+                    for s in self.shards]
+            replies = ray.get(st.rollbacks + refs)[len(st.rollbacks):]
+            self.frontier_round_trips += 1
+            n = min(len(r) for r in replies)  # waves wave..w*
+            st.rollbacks = [s.rollback.remote(wave + n - 1) for s, r in
+                            zip(self.shards, replies) if len(r) > n]
+            for i in range(n):
+                parts = [r[i] for r in replies]
+                st.ahead[wave + i] = (
+                    sorted(chain.from_iterable(p[0] for p in parts)),
+                    None if any(p[1] for p in parts)
+                    else sum(p[2] for p in parts))
+        return st.ahead.pop(wave)
 
     def _push_back(self, leftover: list[tuple[int, str, str]]) -> None:
         route(self.shards, "push_back", leftover, 2, ray.get)
@@ -388,12 +427,13 @@ class CrawlEngine:
 
     # --- the wave loop ---
 
-    def _init_run_state(self, resume: bool) -> _RunState:
+    def _init_run_state(self, resume: bool, limit: int) -> _RunState:
         """Shared by resume-at-start and mid-run actor-loss recovery.
         With ``resume`` the shard fleet is restored from the last
         published checkpoint and outputs beyond it are cleared for
         replay; with no checkpoint (or ``resume=False``) the run starts
-        from seeds. Puts the stage closures, which hold the fleet's handles."""
+        from seeds. Puts the stage closures, which hold the fleet's
+        handles. The new state runs to wave ``limit``."""
         cfg = self.cfg
         order_dir = os.path.join(cfg.output_dir, "order")
         os.makedirs(order_dir, exist_ok=True)
@@ -416,9 +456,9 @@ class CrawlEngine:
                      for t in offers_for(self._pctx, canonicalize_url(raw),
                                          False)]
             route(self.shards, "offer", seeds, 2, ray.get)
-            return _RunState()
+            return _RunState(limit=limit)
         start = meta["wave"] + 1
-        st = _RunState(start, start, list(meta["wave_log"]))
+        st = _RunState(start, start, list(meta["wave_log"]), limit=limit)
         # wave outputs and order logs beyond the checkpoint are
         # replayed — clear them so nothing can duplicate
         for d in glob.glob(os.path.join(cfg.output_dir, "wave=*")):
@@ -438,7 +478,8 @@ class CrawlEngine:
         """The wave loop: each wave passes its barriers in order, each
         through ``_barrier``; actor loss rewinds to the last checkpoint."""
         limit = max_waves if max_waves is not None else self.cfg.max_waves
-        st = self._init_run_state(resume)
+        self.frontier_round_trips = 0  # blocking step_ahead round trips
+        self._st = st = self._init_run_state(resume, limit)
         recoveries = 0
         t0 = time.perf_counter()
         while st.wave < limit:
@@ -470,7 +511,8 @@ class CrawlEngine:
                 if recoveries >= 3 or not self._recover_from_actor_loss():
                     raise
                 recoveries += 1
-                st = self._init_run_state(resume=True)
+                self._st = st = self._init_run_state(True, limit)
+        ray.get(st.rollbacks)  # surface a failed rollback
         self._join_checkpoint()  # final checkpoint durable before return
         return self._result(st, time.perf_counter() - t0, collect_seen_ids)
 
@@ -485,8 +527,10 @@ class CrawlEngine:
         return out
 
     def _select(self, wave: int) -> tuple[str | None, list] | None:
-        """Step the frontier, run the wave's strategy on the merged
-        candidates and push back what it leaves. Returns ``(strategy,
+        """Take the wave's merged candidates from the frontier (one
+        ``_pop_merged`` per wave index, which makes an RPC only when its
+        buffer holds no answer for the wave), run the wave's strategy
+        on them and push back what it leaves. Returns ``(strategy,
         selected)`` (nothing selected for an empty wave), or None once
         every shard's queue is empty."""
         cfg = self.cfg
@@ -597,6 +641,7 @@ class CrawlEngine:
                                   if elapsed > 0 else 0.0),
                 "frontier": agg,
                 "frontier_ops": ops,
+                "frontier_round_trips": self.frontier_round_trips,
                 "frontier_ops_per_sec": ops / elapsed if elapsed > 0 else 0.0,
             },
         )

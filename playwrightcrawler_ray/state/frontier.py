@@ -30,7 +30,7 @@ import heapq
 import pickle
 from collections import defaultdict
 
-from ..pipelines.strategy import split_by_plan
+from ..pipelines.strategy import split_by_plan, strategy_plan, wave_rng
 from .approxset import make_seen_set, restore_seen_set
 from .robots import RobotsRules
 
@@ -66,6 +66,9 @@ class FrontierShard:
         self._spill_dir = spill_dir
         self._spill_seq = 0
         self.runs: dict[str, list[list]] = defaultdict(list)
+        # the last step_ahead's undo log: (wave, cooldowns before it,
+        # popped, selectable rows) per wave it ran
+        self._undo: list[tuple[int, dict, int, list]] = []
 
     # --- mega-host spill (LSM-style sorted runs) ---
 
@@ -219,6 +222,48 @@ class FrontierShard:
         keep, rest = split_by_plan(plan, popped)
         self.push_back(rest)
         return keep, len(popped), None if popped else self.size()
+
+    def step_ahead(self, wave: int, per_host: int, n: int, seed: int,
+                   weights: dict[str, int], wave_size: int, bugs: bool
+                   ) -> list[tuple[list, int, int | None]]:
+        """``step`` the waves ``wave, wave+1, …`` (at most ``n``), each
+        with its ``strategy_plan``, and stop after the first wave with
+        selectable rows. Returns the per-wave ``step`` triples. Once
+        the queue is empty, stepping changes nothing until new offers
+        arrive, so the rest of the window is answered ``([], 0, 0)``.
+        Keeps an undo log of the waves run, for ``rollback``."""
+        self._undo = []
+        out = []
+        for w in range(wave, wave + n):
+            plan = strategy_plan(wave_rng(seed, w), weights, wave_size, bugs)
+            cooldowns = dict(self.host_cooldown_until)
+            keep, popped, queued = self.step(w, per_host, plan)
+            self._undo.append((w, cooldowns, popped, keep))
+            out.append((keep, popped, queued))
+            if keep:
+                break
+            if queued == 0:
+                out.extend([([], 0, 0)] * (wave + n - 1 - w))
+                break
+        return out
+
+    def rollback(self, wave: int) -> None:
+        """Undo the waves after ``wave`` that the last ``step_ahead``
+        ran: push back the rows they returned, and restore the cooldowns
+        and the ``popped`` and ``pushed_back`` counters. Each host then
+        queues the same rows as if those waves had never been stepped,
+        so the pop order that follows is the same. Not undone: which of
+        a host's rows sit in spilled runs rather than in its heap, and
+        the ``spilled`` and ``spill_merges`` counters, which count the
+        spill I/O the shard did, rolled-back waves included; pop order
+        does not depend on either."""
+        while self._undo and self._undo[-1][0] > wave:
+            _, cooldowns, popped, keep = self._undo.pop()
+            self.host_cooldown_until = cooldowns
+            self.push_back(keep)
+            self.counters["popped"] -= popped
+            # the wave's own push-back plus the one just above
+            self.counters["pushed_back"] -= popped
 
     # --- introspection / checkpoint ---
 

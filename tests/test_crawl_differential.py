@@ -28,18 +28,28 @@ def small_corpus():
     return build_corpus(seed=5, n_hosts=5, pages_per_host=4)
 
 
-def _crawl(corpus, cfg):
+def _run(corpus, cfg, **run_kw):
     import ray
 
-    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine, load_images
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
 
-    shutil.rmtree(cfg.output_dir, ignore_errors=True)
     engine = CrawlEngine(corpus, cfg)
     try:
-        res = engine.run(collect_seen_ids=True)
+        return engine.run(collect_seen_ids=True, **run_kw)
     finally:
         for a in (*engine.shards, *engine.dedup):
             ray.kill(a, no_restart=True)
+
+
+def _crawl(corpus, cfg, stop=None):
+    """Crawl with a fresh output dir; with ``stop``, run the first
+    ``stop`` waves, then resume in a new engine from its checkpoint."""
+    from playwrightcrawler_ray.pipelines.crawl import load_images
+
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    if stop is not None:
+        _run(corpus, cfg, max_waves=stop)
+    res = _run(corpus, cfg, resume=stop is not None)
     if not res.order_files:  # e.g. only ghost waves: no parquet to read
         return res, set(), 0
     imgs = load_images(cfg.output_dir).to_pandas()
@@ -66,6 +76,34 @@ def test_engine_matches_oracle_over_wave_plans(
                       per_host_per_wave=per_host, num_frontier_shards=shards,
                       num_seen_shards=shards)
     res, images, n_images = _crawl(small_corpus, cfg)
+    ora = run_oracle(small_corpus, cfg)
+    assert res.order == ora.order
+    assert res.seen_ids() == ora.seen_ids
+    assert images == {(v["image_id"], v["phash"]) for v in ora.images.values()}
+    assert n_images == len(ora.images)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    checkpoint_every=st.integers(min_value=1, max_value=4),
+    cap=st.sampled_from([0, 1, 3]),
+    shards=st.sampled_from([1, 3, 8]),
+    stop=st.integers(min_value=1, max_value=29),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_engine_matches_oracle_across_stop_and_resume(
+        ray_session, small_corpus, checkpoint_every, cap, shards, stop, seed):
+    """The knobs that must not change a crawl's output: how often it
+    checkpoints, how small a host queue may get before it spills
+    (``host_queue_cap`` 1 spills nearly every offer), the shard count,
+    and a stop after ``stop`` waves with a resume from the last
+    checkpoint, which may replay waves."""
+    cfg = CrawlConfig(output_dir="/tmp/pwc_differential_resume",
+                      max_waves=30, seed=seed,
+                      checkpoint_every=checkpoint_every, host_queue_cap=cap,
+                      num_frontier_shards=shards, num_seen_shards=shards)
+    res, images, n_images = _crawl(small_corpus, cfg, stop=stop)
     ora = run_oracle(small_corpus, cfg)
     assert res.order == ora.order
     assert res.seen_ids() == ora.seen_ids

@@ -145,6 +145,92 @@ def test_actor_death_before_first_checkpoint(ray_session, corpus, oracle):
     assert res.seen_ids() == oracle.seen_ids
 
 
+def test_actor_death_at_a_buffered_wave_recovers(ray_session, corpus,
+                                                 oracle):
+    """Kill the one frontier shard at a wave the driver serves from the
+    answers its last ``step_ahead`` buffered: no RPC reaches the dead
+    shard until a later wave's offers or step, and the rewind to the
+    last checkpoint drops the buffer with the fleet."""
+    import ray as _ray
+
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
+
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_buffered",
+                      max_waves=100, num_frontier_shards=1)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    engine = CrawlEngine(corpus, cfg)
+    orig = engine._pop_merged
+    killed = []
+
+    def popper(wave):
+        if not killed and wave >= 10 and wave in engine._st.ahead:
+            killed.append(wave)
+            _ray.kill(engine.shards[0], no_restart=True)
+        return orig(wave)
+
+    engine._pop_merged = popper
+    res = engine.run(collect_seen_ids=True)
+    assert killed and engine.actor_recoveries >= 1
+    assert res.order == oracle.order
+    assert res.seen_ids() == oracle.seen_ids
+
+
+def test_actor_death_while_a_rollback_is_pending_recovers(ray_session,
+                                                          corpus, oracle):
+    """With 8 shards, kill a shard that stopped at the window's first
+    non-empty wave ``w*`` while the driver has not yet awaited the
+    rollback of another shard that ran past ``w*``. Recovery must drop
+    that rollback with the old fleet and still reproduce the oracle."""
+    import ray as _ray
+
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine
+    from playwrightcrawler_ray.state.frontier import shard_of
+
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_rollback",
+                      max_waves=100, num_frontier_shards=8,
+                      num_seen_shards=8)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    engine = CrawlEngine(corpus, cfg)
+    orig = engine._pop_merged
+    killed = []
+
+    def popper(wave):
+        st = engine._st
+        rows = st.ahead.get(wave, ([], None))[0]
+        if not killed and wave >= 10 and rows and st.rollbacks:
+            killed.append(wave)
+            victim = shard_of(rows[0][2], len(engine.shards))
+            _ray.kill(engine.shards[victim], no_restart=True)
+        return orig(wave)
+
+    engine._pop_merged = popper
+    res = engine.run(collect_seen_ids=True)
+    assert killed and engine.actor_recoveries >= 1
+    assert res.order == oracle.order
+    assert res.seen_ids() == oracle.seen_ids
+
+
+def test_one_frontier_round_trip_per_non_empty_wave(ray_session, corpus):
+    """Empty waves cost a one-shard frontier no round trip: each
+    ``step_ahead`` window ends at its first non-empty wave, and only a
+    window that runs out (at ``max_waves``, the empty-streak stop or an
+    empty queue) ends on an empty one. A toy of the small-waves
+    benchmark shape."""
+    from playwrightcrawler_ray.pipelines.crawl import run_crawl
+
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_roundtrips", max_waves=60,
+                      per_host_per_wave=1, checkpoint_every=1,
+                      num_frontier_shards=1)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    res = run_crawl(cfg=cfg, corpus=corpus)
+    non_empty = [w["wave"] for w in res.wave_log]
+    ran_out = int(res.waves > non_empty[-1] + 1)
+    assert res.stats["frontier_round_trips"] == len(non_empty) + ran_out
+    assert res.stats["frontier_round_trips"] < res.waves / 2
+    assert res.order == run_oracle(corpus, cfg).order
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+
+
 def _image_keys(imgs) -> set:
     return set(zip(imgs["caption"], imgs["phash"]))
 

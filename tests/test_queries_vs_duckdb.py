@@ -725,3 +725,49 @@ def test_user_groups_stay_within_rows_per_group(ray_session, monkeypatch):
                    (analytics.q_events_rolling,
                     analytics.SQL_EVENTS_ROLLING)):
         assert_matches_oracle(q(sf_small), _duck(sql, sf_small))
+
+
+def _zero_row_tables(dest) -> str:
+    """Zero-row copies of every driver table, schemas kept."""
+    import pyarrow.parquet as pq
+
+    for t in TABLES:
+        schema = pq.read_schema(f"{SF_DIR}/{t}.parquet")
+        pq.write_table(schema.empty_table(), str(dest / f"{t}.parquet"))
+    return str(dest)
+
+
+def test_partial_grouped_agg_keeps_combine_columns_on_zero_rows(
+        ray_session, tmp_path):
+    """No partial rows reach the combine of a zero-row input, so Ray
+    never runs it; the result still has combine's typed columns."""
+    from playwrightcrawler_ray.ops.aggutil import partial_grouped_agg
+    from playwrightcrawler_ray.ops.io import read_table
+
+    ds = read_table(_zero_row_tables(tmp_path), "documents",
+                    ["lang", "n_chars"])
+
+    def partial(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("lang", as_index=False).agg(
+            n=("n_chars", "size"), chars=("n_chars", "sum"))
+
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("lang", as_index=False).agg(
+            n=("n", "sum"), chars=("chars", "sum"))
+        g["avg"] = g["chars"] / g["n"]
+        return g
+
+    out = partial_grouped_agg(ds, partial, combine)
+    assert len(out) == 0
+    assert dict(out.dtypes.astype(str)) == {
+        "lang": "object", "n": "int64", "chars": "int64", "avg": "float64"}
+
+
+# one op on partial_grouped_agg from each module that calls it
+@pytest.mark.parametrize("name", ["lang_distribution", "pricing_summary",
+                                  "bloom_semijoin"])
+def test_ops_on_zero_row_tables_match_oracle(entrymod, tmp_path, name):
+    sf = _zero_row_tables(tmp_path)
+    got = entrymod.queries()[name](sf)
+    assert_matches_oracle(got, _duck(ORACLE_SQL[name], sf))
+    assert len(got) == 0 and len(got.columns) > 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from playwrightcrawler_ray.pipelines.strategy import (
@@ -201,3 +201,127 @@ def test_ghost_step_pops_nothing_out_but_cools_hosts():
     cooling.push_back([cands[2]])
     assert cooling.step(1, 1, ("all", None)) == ([], 0, 1)
     assert FrontierShard(1).step(5, 1, ("all", None)) == ([], 0, 0)
+
+
+def _fleet_state(shards):
+    return ([dict(s.host_cooldown_until) for s in shards],
+            [(s.counters["popped"], s.counters["pushed_back"], s.size())
+             for s in shards])
+
+
+# only ghost waves: the run ends at the empty-streak stop, which then
+# bounds the last window of a limit above it
+_GHOSTS = dict(items=[("a1.test", 0, 0), ("b.test", 1, 0)],
+               weights={"fewest_urls": 1}, limit=100,
+               delay_hosts={"b.test"}, cap=0, bugs=True, seed=0,
+               wave_size=3, per_host=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(n_shards=1, **_GHOSTS)
+@example(n_shards=3, **_GHOSTS)
+@given(
+    items=st.lists(
+        st.tuples(st.sampled_from(PLAN_HOSTS),
+                  st.integers(min_value=0, max_value=40),
+                  st.integers(min_value=0, max_value=5)),
+        min_size=1, max_size=40, unique_by=lambda t: (t[0], t[1]),
+    ),
+    n_shards=st.sampled_from([1, 3, 8]),
+    weights=st.dictionaries(st.sampled_from(STRATEGIES),
+                            st.integers(min_value=1, max_value=10),
+                            min_size=1),
+    limit=st.sampled_from([30, 100]),
+    delay_hosts=st.sets(st.sampled_from(PLAN_HOSTS)),
+    cap=st.sampled_from([0, 1, 2]),
+    bugs=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    wave_size=st.integers(min_value=1, max_value=6),
+    per_host=st.integers(min_value=1, max_value=2),
+)
+def test_step_ahead_with_rollback_matches_one_step_per_wave(
+        items, n_shards, weights, limit, delay_hosts, cap, bugs, seed,
+        wave_size, per_host):
+    """A fleet driven as the crawl driver drives it — ``step_ahead`` on
+    every shard over the driver's window, serve waves up to the earliest
+    stop ``w*``, roll back the shards that ran past it — matches a fleet
+    stepped once per wave: the same merged selectable rows on every
+    non-empty wave, the same cooldowns, ``popped``/``pushed_back``
+    counters and queue sizes at each of its barriers and at the stop
+    (``max_waves``, the empty-streak stop or an empty queue), and the
+    same pop order afterwards. ``host_queue_cap`` forces spills, whose
+    layout may differ. A URL drawn with wave ``w > 0`` is offered at
+    the first non-empty wave from ``w`` on, as a link found by that
+    wave's fetches, so hosts also first appear (and first cool down)
+    after a run-ahead."""
+    import tempfile
+
+    from playwrightcrawler_ray.pipelines.crawl import _RunState
+
+    w0 = min(w for _, _, w in items)  # some URLs are there at wave 0
+    cands = sorted((w - w0, f"https://{h}/p{n}", h) for h, n, w in items)
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def fleet(tag):
+            shards = [FrontierShard(i, host_queue_cap=cap,
+                                    spill_dir=f"{tmp}/{tag}{i}")
+                      for i in range(n_shards)]
+            for s in shards:
+                s.set_robots([(h, "User-agent: *\nCrawl-delay: 1\n")
+                              for h in delay_hosts])
+            offer(shards, [c for c in cands if c[0] == 0])
+            return shards
+
+        def offer(shards, rows):
+            for w, url, host in rows:
+                shards[shard_of(host, n_shards)].offer(
+                    [(url, url_id_64(url), host, urlsplit(url).path, w)])
+
+        ref, ahead = fleet("ref"), fleet("ahead")
+
+        def merge(parts):
+            rows = sorted(c for keep, _, _ in parts for c in keep)
+            if any(popped for _, popped, _ in parts):
+                return rows, None
+            return rows, sum(queued for _, _, queued in parts)
+
+        buffered: dict = {}
+        run = _RunState(limit=limit)
+        while run.wave < limit:
+            wave = run.wave
+            plan = strategy_plan(wave_rng(seed, wave), weights, wave_size,
+                                 bugs)
+            want = merge([s.step(wave, per_host, plan) for s in ref])
+            if wave not in buffered:
+                n = run.window()
+                replies = [s.step_ahead(wave, per_host, n, seed, weights,
+                                        wave_size, bugs) for s in ahead]
+                last = wave + min(len(r) for r in replies) - 1
+                for s, r in zip(ahead, replies):
+                    if wave + len(r) - 1 > last:
+                        s.rollback(last)
+                buffered = {w: merge([r[w - wave] for r in replies])
+                            for w in range(wave, last + 1)}
+            assert buffered.pop(wave) == want
+            rows, queued = want
+            if queued == 0:
+                break
+            selected = []
+            if rows:
+                rng = wave_rng(seed, wave)
+                selected, leftover = apply_strategy(
+                    choose_strategy(rng, weights), rows, wave_size, rng, bugs)
+                found = [c for c in cands if 0 < c[0] <= wave]
+                cands = [c for c in cands if c not in found]
+                for fl in (ref, ahead):
+                    for c in leftover:
+                        fl[shard_of(c[2], n_shards)].push_back([c])
+                    offer(fl, found)
+                assert _fleet_state(ahead) == _fleet_state(ref)
+            if not run.advance(bool(selected)):
+                break
+
+        assert _fleet_state(ahead) == _fleet_state(ref)
+        for w in range(run.wave, run.wave + 60):
+            assert (sorted(c for s in ahead for c in s.pop_candidates(w))
+                    == sorted(c for s in ref for c in s.pop_candidates(w)))
