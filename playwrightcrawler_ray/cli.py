@@ -283,9 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.cmd == "query":
             import pandas as pd
 
+            from .ops.io import to_frame
+
             out = entry.queries()[args.name](args.sf)
             if not isinstance(out, pd.DataFrame):
-                out = out.to_pandas()
+                out = to_frame(out)
             print(out.head(args.limit).to_string(index=False))
             print(json.dumps({"query": args.name, "rows": len(out),
                               "columns": list(out.columns)}))

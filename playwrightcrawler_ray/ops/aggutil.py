@@ -17,6 +17,8 @@ from collections.abc import Callable
 
 import pandas as pd
 
+from .io import to_frame
+
 
 def partial_grouped_agg(
     ds,
@@ -25,14 +27,7 @@ def partial_grouped_agg(
 ) -> pd.DataFrame:
     """build_partial: batch → partial aggregate rows (per-batch groupby);
     combine: all partial rows → final aggregate rows. A zero-row input
-    still returns combine's typed columns."""
+    still returns combine's typed columns (``io.to_frame``)."""
     parts = ds.map_batches(build_partial, batch_format="pandas")
-    out = parts.repartition(1).map_batches(
-        combine, batch_format="pandas", batch_size=None
-    ).to_pandas()
-    if len(out.columns) == 0:
-        # no partial rows arrived, so Ray never ran combine: run both
-        # on an empty batch of the input's schema instead
-        empty = ds.schema().base_schema.empty_table().to_pandas()
-        out = combine(build_partial(empty))
-    return out
+    return to_frame(parts.repartition(1).map_batches(
+        combine, batch_format="pandas", batch_size=None))

@@ -19,6 +19,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from .io import to_frame
+
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     from .io import read_table
@@ -91,8 +93,7 @@ def q_top_customers(sf_dir: str) -> pd.DataFrame:
     shuffle join) → revenue per customer → top 10."""
     from .aggutil import partial_grouped_agg
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
-    names = dict(zip(cust["c_custkey"], cust["c_name"]))
+    cust = to_frame(_read(sf_dir, "customer", ["c_custkey", "c_name"]))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -105,12 +106,10 @@ def q_top_customers(sf_dir: str) -> pd.DataFrame:
             revenue=("revenue", "sum"), n_orders=("n_orders", "sum")
         )
 
-    rev = partial_grouped_agg(orders, partial, combine)
-    rev["c_name"] = rev["o_custkey"].map(names)
-    rev = rev.dropna(subset=["c_name"])
+    rev = partial_grouped_agg(orders, partial, combine).merge(
+        cust, left_on="o_custkey", right_on="c_custkey")
     rev = rev.sort_values(["revenue", "o_custkey"],
                           ascending=[False, True]).head(10)
-    rev = rev.rename(columns={"o_custkey": "c_custkey"})
     rev["revenue"] = rev["revenue"].round(2)
     return rev[["c_custkey", "c_name", "revenue", "n_orders"]]
 
@@ -129,11 +128,9 @@ LIMIT 10
 def q_orders_without_lineitem(sf_dir: str) -> pd.DataFrame:
     """Anti-join (reference J1 links-minus-content analogue): broadcast
     the key set as a semi-filter inside map_batches — no shuffle."""
-    keys = set(
-        _read(sf_dir, "lineitem", ["l_orderkey"])
-        .unique("l_orderkey")
-    )
-    keys_ref = ray.put(np.fromiter(keys, dtype=np.int64))
+    # ``unique`` answers None, not [], on a zero-row table
+    keys = _read(sf_dir, "lineitem", ["l_orderkey"]).unique("l_orderkey")
+    keys_ref = ray.put(np.fromiter(keys or (), dtype=np.int64))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
 
     def anti(t: pa.Table) -> pa.Table:
@@ -147,7 +144,8 @@ def q_orders_without_lineitem(sf_dir: str) -> pd.DataFrame:
                    Sum("o_totalprice", alias_name="total_value"))
     )
     df = pd.DataFrame([out])
-    df["total_value"] = df["total_value"].round(2)
+    # SUM over no rows is NULL (None here), a float NaN in the frame
+    df["total_value"] = df["total_value"].astype("float64").round(2)
     return df
 
 
@@ -160,11 +158,21 @@ FROM orders WHERE o_orderkey NOT IN (SELECT l_orderkey FROM lineitem)
 def q_region_nation_counts(sf_dir: str) -> pd.DataFrame:
     """Dimension join via broadcast + grouped count (A5 host-level
     distribution analogue)."""
-    region = _read(sf_dir, "region").to_pandas()
-    rmap = dict(zip(region["r_regionkey"], region["r_name"]))
+    from .aggutil import partial_grouped_agg
+
+    region = to_frame(_read(sf_dir, "region"))
     nation = _read(sf_dir, "nation", ["n_regionkey"])
-    out = nation.groupby("n_regionkey").aggregate(Count(alias_name="n_nations")).to_pandas()
-    out["r_name"] = out["n_regionkey"].map(rmap)
+
+    def count(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("n_regionkey", as_index=False, sort=False).agg(
+            n_nations=("n_regionkey", "size"))
+
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("n_regionkey", as_index=False, sort=False).agg(
+            n_nations=("n_nations", "sum"))
+
+    out = partial_grouped_agg(nation, count, combine).merge(
+        region, left_on="n_regionkey", right_on="r_regionkey")
     return out[["r_name", "n_nations"]]
 
 
@@ -183,7 +191,8 @@ def q_part_top3_by_brand(sf_dir: str) -> pd.DataFrame:
         return g.sort_values(["p_retailprice", "p_partkey"],
                              ascending=[False, True]).head(3)
 
-    out = parts.groupby("p_brand").map_groups(top3, batch_format="pandas").to_pandas()
+    out = to_frame(
+        parts.groupby("p_brand").map_groups(top3, batch_format="pandas"))
     out["p_retailprice"] = out["p_retailprice"].round(2)
     return out.sort_values(["p_brand", "p_partkey"]).reset_index(drop=True)
 
@@ -302,10 +311,9 @@ def q_user_sessions(sf_dir: str, gap_minutes: int = 30) -> pd.DataFrame:
         )
         return out
 
-    return (
+    return to_frame(
         _user_groups(ev)
         .map_groups(sessions_of_bucket, batch_format="pandas")
-        .to_pandas()
     )
 
 
@@ -329,8 +337,7 @@ SELECT MIN(ts) AS ts_min, MAX(ts) AS ts_max, COUNT(*) AS n FROM events
 
 def q_supplier_by_nation(sf_dir: str) -> pd.DataFrame:
     """Broadcast dimension join supplier⋈nation → per-nation counts."""
-    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
-    nmap = dict(zip(nation["n_nationkey"], nation["n_name"]))
+    nation = to_frame(_read(sf_dir, "nation", ["n_nationkey", "n_name"]))
     sup = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -346,8 +353,8 @@ def q_supplier_by_nation(sf_dir: str) -> pd.DataFrame:
 
     from .aggutil import partial_grouped_agg
 
-    out = partial_grouped_agg(sup, partial, combine)
-    out["n_name"] = out["s_nationkey"].map(nmap)
+    out = partial_grouped_agg(sup, partial, combine).merge(
+        nation, left_on="s_nationkey", right_on="n_nationkey")
     out["total_acctbal"] = out["total_acctbal"].round(2)
     return out[["n_name", "n_suppliers", "total_acctbal"]]
 
@@ -416,11 +423,9 @@ def q_events_rolling(sf_dir: str) -> pd.DataFrame:
         # as datetime64[us] under pandas 2.x, not ns
         ts_us = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
         users = g["user_id"].to_numpy()
-        first = np.empty(len(g), dtype=bool)
-        first[0] = True
+        first = np.ones(len(g), dtype=bool)
         first[1:] = users[1:] != users[:-1]
-        gap = np.empty(len(g), dtype=np.int64)
-        gap[0] = -1
+        gap = np.full(len(g), -1, dtype=np.int64)
         gap[1:] = ts_us[1:] - ts_us[:-1]
         gap[first] = -1  # LAG over the partition start → sentinel
         g = g.assign(_m=(g["event_id"] % 1000).astype("int64"))
@@ -436,10 +441,9 @@ def q_events_rolling(sf_dir: str) -> pd.DataFrame:
             "roll_sum5": roll,
         })
 
-    return (
+    return to_frame(
         _user_groups(ev)
         .map_groups(roll_bucket, batch_format="pandas")
-        .to_pandas()
     )
 
 
@@ -475,17 +479,21 @@ def q_lineitem_rollup(sf_dir: str) -> pd.DataFrame:
         lvl1 = fine.groupby("l_returnflag", as_index=False, sort=False).agg(
             sum_qty=("sum_qty", "sum"), n=("n", "sum"))
         lvl1["l_linestatus"] = "ALL"
+        # the grand total is there even for no rows, and SUM over no
+        # rows is NULL, as in DuckDB's ROLLUP
         total = pd.DataFrame({
             "l_returnflag": ["ALL"], "l_linestatus": ["ALL"],
-            "sum_qty": [fine["sum_qty"].sum()], "n": [fine["n"].sum()],
+            "sum_qty": [fine["sum_qty"].sum(min_count=1)],
+            "n": [fine["n"].sum()],
         })
         out = pd.concat([fine, lvl1, total], ignore_index=True)
         return out.rename(columns={"l_returnflag": "returnflag",
                                    "l_linestatus": "linestatus"})
 
     df = partial_grouped_agg(ds, partial, combine)
-    df["sum_qty"] = df["sum_qty"].astype("int64")
     df["n"] = df["n"].astype("int64")
+    if df["sum_qty"].notna().all():  # a NULL sum stays a float NaN
+        df["sum_qty"] = df["sum_qty"].astype("int64")
     return df
 
 
@@ -670,20 +678,22 @@ def q_lineitem_price_quartiles(sf_dir: str) -> pd.DataFrame:
         ).astype(np.int64)
         cents.sort()
         n = len(cents)
-        rows = {"l_returnflag": [g["l_returnflag"].iloc[0]]}
+        # one row per flag; slices, not indices, so an empty group
+        # yields no row
+        rows = {"l_returnflag": g["l_returnflag"].to_numpy()[:1]}
         for name, p in (("p25", 0.25), ("p50", 0.5), ("p75", 0.75)):
             # PERCENTILE_CONT: rank h = p*(n-1), linear interpolation
             h = p * (n - 1)
             lo = int(np.floor(h))
             hi = min(lo + 1, n - 1)
-            v = cents[lo] + (h - lo) * (cents[hi] - cents[lo])
-            rows[name] = [round(v / 100.0, 4)]
+            lo_v, hi_v = cents[lo:lo + 1], cents[hi:hi + 1]
+            v = lo_v + (h - lo) * (hi_v - lo_v)
+            rows[name] = np.round(v / 100.0, 4)
         return pd.DataFrame(rows)
 
-    out = (
+    out = to_frame(
         ds.groupby("l_returnflag")
         .map_groups(quartiles, batch_format="pandas")
-        .to_pandas()
     )
     return out.sort_values("l_returnflag").reset_index(drop=True)
 

@@ -27,6 +27,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from .io import materialize, to_frame
+
 
 def _emb(sf_dir: str, columns=None):
     from .io import read_table
@@ -42,14 +44,23 @@ def _fetch_vecs(sf_dir: str, vec_ids: list[int]) -> pd.DataFrame:
 
     from .io import read_table
 
-    return read_table(
+    return to_frame(read_table(
         sf_dir, "embeddings", ["vec_id", "embedding"],
         filter=pc.field("vec_id").isin(vec_ids),
-    ).to_pandas()
+    ))
 
 
 def _to_matrix(df: pd.DataFrame) -> np.ndarray:
-    return np.stack(df["embedding"].to_numpy()).astype(np.float64)
+    """The embedding column as a float64 matrix: 0×0 for no rows, so
+    a zero-row table flows through every product below as empty."""
+    v = df["embedding"].to_numpy()
+    return np.stack(v).astype(np.float64) if len(v) else np.zeros((0, 0))
+
+
+def _query_vec(sf_dir: str, vec_id: int) -> np.ndarray:
+    """The embedding of ``vec_id``, of length 0 when the table holds no
+    such vector (a zero-row table)."""
+    return _to_matrix(_fetch_vecs(sf_dir, [vec_id])).reshape(-1)
 
 
 def _sq_dists(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -66,12 +77,19 @@ def _sq_dists(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
+def _nearest(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid; a zero-row table trains no
+    centroid and has no row to assign."""
+    if not len(c):
+        return np.zeros(len(m), dtype=np.int64)
+    return _sq_dists(m, c).argmin(axis=1)
+
+
 def q_ann_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pd.DataFrame:
     """Top-k by cosine similarity to the embedding of ``query_vec_id``
     (self excluded). Per-batch partial top-k, merged on the driver —
     no global sort shuffle."""
-    qdf = _fetch_vecs(sf_dir, [query_vec_id])
-    q = np.asarray(qdf["embedding"].iloc[0], dtype=np.float64)
+    q = _query_vec(sf_dir, query_vec_id)
     qn = q / np.linalg.norm(q)
     q_ref = ray.put(qn)
 
@@ -85,14 +103,15 @@ def q_ann_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pd.DataFrame:
         return out.sort_values(["cos_sim", "vec_id"],
                                ascending=[False, True]).head(k)
 
-    parts = (
+    parts = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(partial_topk, batch_format="pandas", batch_size=4096)
-        .to_pandas()
     )
+    # DuckDB's cosine of FLOAT lists is a FLOAT
     return (
         parts.sort_values(["cos_sim", "vec_id"], ascending=[False, True])
         .head(k)
+        .astype({"cos_sim": "float32"})
         .reset_index(drop=True)
     )
 
@@ -121,8 +140,7 @@ def q_ann_topk_batch(sf_dir: str, n_queries: int = 16, k: int = 5
     Queries are the embeddings with vec_id < n_queries (deterministic
     and SQL-mirrorable)."""
     qdf = _fetch_vecs(sf_dir, list(range(n_queries))).sort_values("vec_id")
-    Q = np.stack([np.asarray(e, dtype=np.float64)
-                  for e in qdf["embedding"]])
+    Q = _to_matrix(qdf)
     qids = qdf["vec_id"].to_numpy().astype(np.int64)
     qn = np.linalg.norm(Q, axis=1)
     Qn = Q / np.where(qn == 0, 1.0, qn)[:, None]
@@ -134,7 +152,9 @@ def q_ann_topk_batch(sf_dir: str, n_queries: int = 16, k: int = 5
         norms = np.linalg.norm(m, axis=1)
         cos = (m / np.where(norms == 0, 1.0, norms)[:, None]) @ qm.T
         ids = df["vec_id"].to_numpy().astype(np.int64)
-        out_q, out_v, out_c = [], [], []
+        # typed empty seeds: a zero-row table has no query to loop over
+        out_q, out_v = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        out_c = [np.empty(0)]
         for qi in range(len(ids_q)):
             col = cos[:, qi]
             mask = ids != ids_q[qi]          # self excluded
@@ -148,10 +168,9 @@ def q_ann_topk_batch(sf_dir: str, n_queries: int = 16, k: int = 5
             "cos_sim": np.concatenate(out_c),
         })
 
-    parts = (
+    parts = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(partial, batch_format="pandas", batch_size=4096)
-        .to_pandas()
     )
     out = (
         parts.sort_values(["query_id", "cos_sim", "vec_id"],
@@ -160,7 +179,8 @@ def q_ann_topk_batch(sf_dir: str, n_queries: int = 16, k: int = 5
     )
     out["cos_sim"] = np.round(out["cos_sim"].to_numpy(), 4)
     return (
-        out.astype({"query_id": "int64", "vec_id": "int64"})
+        out.astype({"query_id": "int64", "vec_id": "int64",
+                    "cos_sim": "float32"})
         .sort_values(["query_id", "vec_id"])
         .reset_index(drop=True)
     )
@@ -192,7 +212,7 @@ def q_embedding_neardup_pairs(sf_dir: str, threshold: float = 0.4) -> pd.DataFra
     table fits a worker (the "broadcast the small side" pattern). The
     scale path with no broadcast is ``q_embedding_neardup_lsh``
     (bucketed in-bucket GEMM), recall-tested against this one."""
-    full = _emb(sf_dir, ["vec_id", "embedding"]).to_pandas()
+    full = to_frame(_emb(sf_dir, ["vec_id", "embedding"]))
     m = _to_matrix(full)
     m = m / np.linalg.norm(m, axis=1, keepdims=True)
     ids = full["vec_id"].to_numpy()
@@ -213,12 +233,12 @@ def q_embedding_neardup_pairs(sf_dir: str, threshold: float = 0.4) -> pd.DataFra
             }
         )
 
-    out = (
+    out = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(pairs, batch_format="pandas", batch_size=2048)
-        .to_pandas()
     )
-    return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
+    return (out.astype({"cos_sim": "float32"})
+            .sort_values(["vec_a", "vec_b"]).reset_index(drop=True))
 
 
 def sql_embedding_neardup_pairs(threshold: float = 0.4) -> str:
@@ -283,7 +303,7 @@ def q_embedding_neardup_lsh(
     (table, bucket). Approximate recall (rows-only check; the recall
     test pins high-cosine pairs against the exact query)."""
     rng = np.random.default_rng(seed)
-    dim = len(_fetch_vecs(sf_dir, [0])["embedding"].iloc[0])
+    dim = len(_query_vec(sf_dir, 0))
     planes = rng.standard_normal((n_tables, n_planes, dim))
     p_ref = ray.put(planes)
 
@@ -308,8 +328,6 @@ def q_embedding_neardup_lsh(
         )
 
     def in_bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"vec_a": [], "vec_b": [], "cos_sim": []})
         m = _to_matrix(g)
         m = m / np.linalg.norm(m, axis=1, keepdims=True)
         ids = g["vec_id"].to_numpy()
@@ -323,15 +341,12 @@ def q_embedding_neardup_lsh(
             }
         )
 
-    out = (
+    out = to_frame(  # result-sized (pairs above threshold)
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(bucketize, batch_format="pandas", batch_size=4096)
         .groupby("bucket")
         .map_groups(in_bucket_pairs, batch_format="pandas")
-        .to_pandas()  # result-sized (pairs above threshold)
     )
-    if out.empty:
-        return pd.DataFrame({"vec_a": [], "vec_b": [], "cos_sim": []})
     return (
         out.drop_duplicates(["vec_a", "vec_b"])
         .astype({"vec_a": "int64", "vec_b": "int64"})
@@ -384,7 +399,7 @@ def _components_from_edges(sf_dir: str, edges_df: pd.DataFrame,
     documents table for text near-dup collapse)."""
     out_ids = vertices if vertices is not None else _emb(sf_dir, ["vec_id"])
     if edges_df.empty:
-        lab = out_ids.to_pandas().sort_values("vec_id")
+        lab = to_frame(out_ids).sort_values("vec_id")
         return pd.DataFrame(
             {"vec_id": lab["vec_id"], "component_id": lab["vec_id"]}
         ).reset_index(drop=True)
@@ -405,7 +420,7 @@ def _components_from_edges(sf_dir: str, edges_df: pd.DataFrame,
             )
             return pd.DataFrame({"n": [len(df)], "s": [int(h.sum()) & (1 << 63) - 1]})
 
-        p = ds.map_batches(part, batch_format="pandas").to_pandas()
+        p = to_frame(ds.map_batches(part, batch_format="pandas"))
         return (int(p["n"].sum()), int(p["s"].sum()) & (1 << 63) - 1)
 
     prev = None
@@ -433,12 +448,11 @@ def _components_from_edges(sf_dir: str, edges_df: pd.DataFrame,
         ),
         batch_format="pandas",
     )
-    lab = (
+    lab = to_frame(
         E.map_batches(emit_labels, batch_format="pandas")
         .union(ids)
         .groupby("vec_id")
         .min("component_id")
-        .to_pandas()
     )
     lab = lab.rename(columns={"min(component_id)": "component_id"})
     return (
@@ -485,8 +499,8 @@ def _hash_smallest(ds, seed64: np.uint64, n: int) -> pd.DataFrame:
         })
 
     return (
-        ds.map_batches(smallest, batch_format="pandas", batch_size=4096)
-        .to_pandas()
+        to_frame(ds.map_batches(smallest, batch_format="pandas",
+                                batch_size=4096))
         .sort_values(["h", "vec_id"])
         .head(n)
     )
@@ -506,8 +520,7 @@ def _kmeans_centroids(sf_dir, k: int, iters: int,
         def emb_ds():
             return _emb(sf_dir, ["vec_id", "embedding"])
     seed64 = np.uint64(seed * 0x2545F4914F6CDD1D & 0xFFFFFFFFFFFFFFFF)
-    cand = _hash_smallest(emb_ds(), seed64, k)
-    centroids = np.stack(cand["embedding"].to_numpy()).astype(np.float64)
+    centroids = _to_matrix(_hash_smallest(emb_ds(), seed64, k))
 
     for _ in range(iters):
         c_ref = ray.put(centroids)
@@ -515,20 +528,19 @@ def _kmeans_centroids(sf_dir, k: int, iters: int,
         def partial_sums(df: pd.DataFrame) -> pd.DataFrame:
             c = ray.get(c_ref)
             m = _to_matrix(df)
-            assign = _sq_dists(m, c).argmin(axis=1)
-            rows = []
-            for ci in np.unique(assign):
-                sel = m[assign == ci]
-                rows.append(
-                    {"cluster": int(ci), "count": len(sel),
-                     "vsum": sel.sum(axis=0).tolist()}
-                )
-            return pd.DataFrame(rows)
+            assign = _nearest(m, c)
+            cl = np.unique(assign)
+            return pd.DataFrame({
+                "cluster": cl.astype(np.int64),
+                "count": np.array([np.sum(assign == ci) for ci in cl],
+                                  dtype=np.int64),
+                "vsum": pd.array([m[assign == ci].sum(axis=0).tolist()
+                                  for ci in cl], dtype=object),
+            })
 
-        parts = (
+        parts = to_frame(
             emb_ds()
             .map_batches(partial_sums, batch_format="pandas", batch_size=2048)
-            .to_pandas()
         )
         new_c = centroids.copy()
         for ci, grp in parts.groupby("cluster"):
@@ -562,13 +574,12 @@ def q_embedding_kmeans(sf_dir: str, k: int = 10, iters: int = 10,
         m = _to_matrix(df)
         return pd.DataFrame(
             {"vec_id": df["vec_id"],
-             "cluster": _sq_dists(m, c).argmin(axis=1).astype(np.int64)}
+             "cluster": _nearest(m, c).astype(np.int64)}
         )
 
-    out = (
+    out = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(assign_final, batch_format="pandas", batch_size=2048)
-        .to_pandas()
     )
     return out.sort_values("vec_id").reset_index(drop=True)
 
@@ -579,8 +590,7 @@ def q_ann_topk_lsh(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     query's bucket ± 1-bit neighbors. Approximate (rows-only check);
     demonstrates the bucketed scale path where the dense scan is
     replaced by a groupby on the bucket key."""
-    qdf = _fetch_vecs(sf_dir, [query_vec_id])
-    q = np.asarray(qdf["embedding"].iloc[0], dtype=np.float64)
+    q = _query_vec(sf_dir, query_vec_id)
     dim = len(q)
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((n_planes, dim))
@@ -594,8 +604,6 @@ def q_ann_topk_lsh(sf_dir: str, query_vec_id: int = 0, k: int = 10,
         m = _to_matrix(df)
         bits = (m @ pl.T > 0).dot(1 << np.arange(pl.shape[0]))
         mask = np.isin(bits, list(buckets)) & (df["vec_id"].to_numpy() != query_vec_id)
-        if not mask.any():
-            return pd.DataFrame({"vec_id": [], "cos_sim": []})
         sub = m[mask]
         norms = np.linalg.norm(sub, axis=1)
         cos = (sub @ qv) / np.where(norms == 0, 1.0, norms)
@@ -603,10 +611,9 @@ def q_ann_topk_lsh(sf_dir: str, query_vec_id: int = 0, k: int = 10,
             {"vec_id": df["vec_id"].to_numpy()[mask], "cos_sim": np.round(cos, 4)}
         )
 
-    out = (
+    out = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(bucket_scan, batch_format="pandas", batch_size=4096)
-        .to_pandas()
     )
     return (
         out.sort_values(["cos_sim", "vec_id"], ascending=[False, True])
@@ -624,8 +631,7 @@ def q_ann_topk_ivf(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     scan touches nprobe/n_clusters of the data). Approximate → rows-only
     check; the recall test pins overlap against the exact top-k."""
     centroids = _kmeans_centroids(sf_dir, n_clusters, iters, seed)
-    qdf = _fetch_vecs(sf_dir, [query_vec_id])
-    q = np.asarray(qdf["embedding"].iloc[0], dtype=np.float64)
+    q = _query_vec(sf_dir, query_vec_id)
     qn = q / np.linalg.norm(q)
     d2 = ((centroids - q[None, :]) ** 2).sum(axis=1)
     probe = set(np.argsort(d2, kind="stable")[:nprobe].tolist())
@@ -634,12 +640,10 @@ def q_ann_topk_ivf(sf_dir: str, query_vec_id: int = 0, k: int = 10,
     def probe_scan(df: pd.DataFrame) -> pd.DataFrame:
         c, probe_set, qv = ray.get(refs)
         m = _to_matrix(df)
-        assign = _sq_dists(m, c).argmin(axis=1)
+        assign = _nearest(m, c)
         mask = np.isin(assign, list(probe_set)) & (
             df["vec_id"].to_numpy() != query_vec_id
         )
-        if not mask.any():
-            return pd.DataFrame({"vec_id": [], "cos_sim": []})
         sub = m[mask]
         norms = np.linalg.norm(sub, axis=1)
         cos = (sub @ qv) / np.where(norms == 0, 1.0, norms)
@@ -649,10 +653,9 @@ def q_ann_topk_ivf(sf_dir: str, query_vec_id: int = 0, k: int = 10,
         return out.sort_values(["cos_sim", "vec_id"],
                                ascending=[False, True]).head(k)
 
-    out = (
+    out = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(probe_scan, batch_format="pandas", batch_size=4096)
-        .to_pandas()
     )
     return (
         out.sort_values(["cos_sim", "vec_id"], ascending=[False, True])
@@ -707,8 +710,8 @@ def q_ann_topk_ivfpq(sf_dir: str, query_vec_id: int = 0, k: int = 10,
                        & 0xFFFFFFFFFFFFFFFF)
     samp = _hash_smallest(_emb(sf_dir, ["vec_id", "embedding"]), seed64,
                           sample_n)
-    sm = np.stack(samp["embedding"].to_numpy()).astype(np.float64)
-    res = sm - centroids[_sq_dists(sm, centroids).argmin(axis=1)]
+    sm = _to_matrix(samp)
+    res = sm - centroids[_nearest(sm, centroids)]
 
     # --- per-subspace Lloyd on the sample residuals (driver-local:
     # the sample is O(sample_n), deterministic init = first n_codes
@@ -729,8 +732,7 @@ def q_ann_topk_ivfpq(sf_dir: str, query_vec_id: int = 0, k: int = 10,
 
     # --- query prep: probe list + one ADC lookup table per probed
     # cluster (LUT[s, j] = ||query_residual_s - codebook[s, j]||²)
-    qdf = _fetch_vecs(sf_dir, [query_vec_id])
-    q = np.asarray(qdf["embedding"].iloc[0], dtype=np.float64)
+    q = _query_vec(sf_dir, query_vec_id)
     d2 = ((centroids - q[None, :]) ** 2).sum(axis=1)
     probe = np.argsort(d2, kind="stable")[:nprobe]
     luts = {}
@@ -749,7 +751,7 @@ def q_ann_topk_ivfpq(sf_dir: str, query_vec_id: int = 0, k: int = 10,
         c, cbs, lut_map = ray.get(refs)
         qv = ray.get(q_ref)
         m = _to_matrix(df)
-        assign = _sq_dists(m, c).argmin(axis=1)
+        assign = _nearest(m, c)
         ids = df["vec_id"].to_numpy()
         out_id, out_d, out_row = [], [], []
         for ci, lut in lut_map.items():
@@ -784,10 +786,9 @@ def q_ann_topk_ivfpq(sf_dir: str, query_vec_id: int = 0, k: int = 10,
         return out.sort_values(["cos_sim", "vec_id"],
                                ascending=[False, True]).head(k)
 
-    out = (
+    out = to_frame(
         _emb(sf_dir, ["vec_id", "embedding"])
         .map_batches(adc_scan, batch_format="pandas", batch_size=4096)
-        .to_pandas()
     )
     return (
         out.sort_values(["cos_sim", "vec_id"], ascending=[False, True])
@@ -841,7 +842,7 @@ def semdedup_dataset(emb_ds, k: int, threshold: float, iters: int,
     # (~0.5 KB), and k-means seeding + each Lloyd round + the final
     # assignment pass would otherwise re-run the factory end to end
     # (iters + 2 full decodes of the corpus).
-    emb = emb_ds().materialize()
+    emb = materialize(emb_ds())
     emb_ds = lambda: emb  # noqa: E731
     centroids = _kmeans_centroids(emb_ds, k, iters, seed)
     c_ref = ray.put(centroids)
@@ -850,7 +851,7 @@ def semdedup_dataset(emb_ds, k: int, threshold: float, iters: int,
         c = ray.get(c_ref)
         m = _to_matrix(df)
         df = df.copy()
-        df["cluster"] = _sq_dists(m, c).argmin(axis=1).astype(np.int64)
+        df["cluster"] = _nearest(m, c).astype(np.int64)
         return df
 
     def collapse(g: pd.DataFrame) -> pd.DataFrame:
@@ -864,10 +865,9 @@ def semdedup_dataset(emb_ds, k: int, threshold: float, iters: int,
         out["keep"] = ~drop
         return out
 
-    return (
+    return to_frame(
         emb_ds()
         .map_batches(assign, batch_format="pandas", batch_size=2048)
         .groupby("cluster")
         .map_groups(collapse, batch_format="pandas")
-        .to_pandas()
     )

@@ -37,6 +37,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .io import to_frame
+
 
 def pagerank_from_edges(edges: pd.DataFrame, damping: float = 0.85,
                         n_iter: int = 30) -> pd.DataFrame:
@@ -83,8 +85,7 @@ def pagerank_from_edges(edges: pd.DataFrame, damping: float = 0.85,
             return part.groupby("dst", as_index=False)["c"].sum()
 
         agg = (
-            edge_ds.map_batches(contribs, batch_format="pandas")
-            .to_pandas()
+            to_frame(edge_ds.map_batches(contribs, batch_format="pandas"))
             .groupby("dst", as_index=False)["c"].sum()
         )
         new = np.zeros(n, dtype=np.float64)
@@ -110,7 +111,7 @@ def crawl_host_pagerank(output_dir: str, damping: float = 0.85,
         sub = df[(df["kind"] == "link") & (df["parent_host"] != df["host"])]
         return sub.groupby(["parent_host", "host"], as_index=False).size()
 
-    parts = ds.map_batches(edge_partial, batch_format="pandas").to_pandas()
+    parts = to_frame(ds.map_batches(edge_partial, batch_format="pandas"))
     edges = (
         parts.groupby(["parent_host", "host"], as_index=False)["size"].sum()
         .rename(columns={"parent_host": "src", "host": "dst",

@@ -30,6 +30,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .io import to_frame
+
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     from .io import read_table
@@ -91,17 +93,8 @@ def q_asof_join(sf_dir: str, n_buckets: int = 32) -> pd.DataFrame:
     before the event timestamp (ties → largest order key); events with
     no prior order drop (inner as-of).  Kernel: per-bucket
     ``pd.merge_asof(on=ts, by=key, direction='backward')``."""
-    empty = pd.DataFrame({
-        "event_id": pd.Series(dtype="int64"),
-        "user_id": pd.Series(dtype="int64"),
-        "asof_orderkey": pd.Series(dtype="int64"),
-        "asof_totalprice": pd.Series(dtype="float64"),
-    })
-
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         e, o = _split_sorted(g)
-        if e.empty or o.empty:
-            return empty
         m = pd.merge_asof(
             e[["ts", "key", "event_id"]],
             o[["ts", "key", "o_orderkey", "o_totalprice"]],
@@ -115,10 +108,9 @@ def q_asof_join(sf_dir: str, n_buckets: int = 32) -> pd.DataFrame:
             "asof_totalprice": m["o_totalprice"].round(2),
         })
 
-    out = (_two_sided(sf_dir, n_buckets)
-           .groupby("bucket")
-           .map_groups(kernel, batch_format="pandas")
-           .to_pandas())
+    out = to_frame(_two_sided(sf_dir, n_buckets)
+                   .groupby("bucket")
+                   .map_groups(kernel, batch_format="pandas"))
     return out.sort_values("event_id", ignore_index=True)
 
 
@@ -156,13 +148,6 @@ def q_range_join(sf_dir: str, n_buckets: int = 32,
     Python.  Events with no other in-window event are dropped."""
     win = pd.Timedelta(minutes=window_minutes)
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    empty = pd.DataFrame({
-        "event_id": pd.Series(dtype="int64"),
-        "user_id": pd.Series(dtype="int64"),
-        "n_window": pd.Series(dtype="int64"),
-        "sum_value": pd.Series(dtype="float64"),
-    })
-
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["bucket"] = (df["user_id"].astype("int64")
@@ -170,8 +155,6 @@ def q_range_join(sf_dir: str, n_buckets: int = 32,
         return df
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return empty
         g = g.sort_values(["ts", "event_id"], kind="mergesort")
         g = g.assign(
             _cnt=g.groupby("user_id").cumcount() + 1,
@@ -205,10 +188,9 @@ def q_range_join(sf_dir: str, n_buckets: int = 32,
         })
         return out[out["n_window"] > 0]
 
-    out = (ev.map_batches(bucketize, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(kernel, batch_format="pandas")
-           .to_pandas())
+    out = to_frame(ev.map_batches(bucketize, batch_format="pandas")
+                   .groupby("bucket")
+                   .map_groups(kernel, batch_format="pandas"))
     return out.sort_values("event_id", ignore_index=True)
 
 
@@ -262,10 +244,8 @@ def q_bloom_semijoin(sf_dir: str, fp_rate: float = 1e-3) -> pd.DataFrame:
         sel = df.loc[df["o_orderpriority"] == "1-URGENT", "o_orderkey"]
         return pd.DataFrame({"k": sel.to_numpy(dtype=np.int64)})
 
-    # a zero-row frame from ``to_pandas`` has no columns at all
-    k = orders.map_batches(build_keys, batch_format="pandas").to_pandas()
-    keys = np.sort(k["k"].to_numpy(dtype=np.int64) if len(k.columns)
-                   else np.empty(0, np.int64))
+    k = to_frame(orders.map_batches(build_keys, batch_format="pandas"))
+    keys = np.sort(k["k"].to_numpy(dtype=np.int64))
     bloom = BloomFilter(capacity=max(64, len(keys)), fp_rate=fp_rate)
     bloom.add_bulk(_splitmix64(keys))
     bc_ref = ray.put((bloom.state(), keys))

@@ -50,6 +50,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.text import fingerprint64
+from .io import to_frame
 from .textstats import _docs
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -235,7 +236,7 @@ def _build_models(sf_dir: str, ref_mod: int,
             return partials(df.iloc[:0])
         return pd.concat(frames, ignore_index=True)
 
-    raw = ds.map_batches(partials, batch_format="pandas").to_pandas()
+    raw = to_frame(ds.map_batches(partials, batch_format="pandas"))
     models: dict[int, _BigramModel] = {}
     for s in want.tolist():
         sub = raw[raw["slice"] == s]
@@ -287,10 +288,9 @@ def q_docs_lm_perplexity(sf_dir: str, ref_mod: int = 7) -> pd.DataFrame:
             "nll_micro": pd.Series(nlls, dtype=np.int64),
         })
 
-    out = (
+    out = to_frame(
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(score, batch_format="pandas")
-        .to_pandas()
     )
     out["avg_nll_micro"] = out["nll_micro"] // out["n_bigrams"]
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -386,10 +386,9 @@ def q_docs_dsir_weights(sf_dir: str, ref_mod: int = 7) -> pd.DataFrame:
             "logratio_micro": pd.Series(ws, dtype=np.int64),
         })
 
-    out = (
+    out = to_frame(
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(score, batch_format="pandas")
-        .to_pandas()
     )
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -447,7 +446,7 @@ def q_docs_ccnet_buckets(sf_dir: str, ref_mod: int = 7) -> pd.DataFrame:
             avgs.append((-qsum) // n)
         return pd.DataFrame({
             "doc_id": pd.Series(ids, dtype=np.int64),
-            "lang": pd.Series(langs, dtype="string[pyarrow]"),
+            "lang": pd.Series(langs, dtype=object),
             "avg_nll_micro": pd.Series(avgs, dtype=np.int64),
         })
 
@@ -458,12 +457,11 @@ def q_docs_ccnet_buckets(sf_dir: str, ref_mod: int = 7) -> pd.DataFrame:
         g["bucket"] = (3 * np.arange(n, dtype=np.int64)) // n
         return g
 
-    out = (
+    out = to_frame(
         _docs(sf_dir, ["doc_id", "text", "lang"])
         .map_batches(score, batch_format="pandas")
         .groupby("lang")
         .map_groups(bucket, batch_format="pandas")
-        .to_pandas()
     )
     return out.sort_values("doc_id").reset_index(drop=True)
 

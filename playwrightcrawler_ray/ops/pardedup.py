@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..functions.text import fingerprint64
+from .io import to_frame
 
 
 def _explode_wgrams(df: pd.DataFrame, w: int, n_parts: int):
@@ -121,36 +123,24 @@ def paragraph_dedup_dataset(ds, chunk_words: int = 8, n_parts: int = 64,
             cols[c] = g[c].to_numpy()
         return pd.DataFrame(cols)
 
-    empty_cols = {"doc_id": pd.array([], dtype="int64"), "text": [],
-                  **{c: [] for c in meta_cols},
-                  "n_pars": pd.array([], dtype="int64"),
-                  "n_dropped": pd.array([], dtype="int64")}
-
-    def reassemble(g: pd.DataFrame) -> pd.DataFrame:
+    def reassemble(g: pd.DataFrame) -> pa.Table:
         """Within one doc-id partition: rebuild each document from its
         kept paragraphs in original order; drop fully-deduped docs."""
         g = g.sort_values(["doc_id", "idx"], kind="stable")
-        rows = []
-        for doc_id, sub in g.groupby("doc_id", sort=True):
-            kept = sub[sub["keep"]]
-            if not len(kept):
-                continue
-            row = {
-                "doc_id": int(doc_id),
-                "text": " ".join(kept["par"]),
-                "n_pars": len(sub),
-                "n_dropped": int((~sub["keep"]).sum()),
-            }
-            first = sub.iloc[0]  # idx-0 row carries the metadata
-            for c in meta_cols:
-                row[c] = first[c]
-            rows.append(row)
-        if not rows:
-            return pd.DataFrame(empty_cols)
-        out = pd.DataFrame(rows)
-        out["n_pars"] = out["n_pars"].astype("int64")
-        order = ["doc_id", "text", *meta_cols, "n_pars", "n_dropped"]
-        return out[order]
+        docs = [(d, sub) for d, sub in g.groupby("doc_id", sort=True)
+                if sub["keep"].any()]
+        cols = {
+            "doc_id": pa.array([d for d, _ in docs], pa.int64()),
+            "text": pa.array([" ".join(sub.loc[sub["keep"], "par"])
+                              for _, sub in docs], pa.string()),
+        }
+        for c in meta_cols:  # the idx-0 row carries the metadata
+            cols[c] = pa.array([sub[c].iloc[0] for _, sub in docs],
+                               pa.string())
+        cols["n_pars"] = pa.array([len(sub) for _, sub in docs], pa.int64())
+        cols["n_dropped"] = pa.array([int((~sub["keep"]).sum())
+                                      for _, sub in docs], pa.int64())
+        return pa.table(cols)
 
     return (
         ds.map_batches(explode, batch_format="pandas")
@@ -174,7 +164,7 @@ def q_docs_paragraph_dedup(sf_dir: str, chunk_words: int = 8,
     from .textstats import _docs
 
     ds = _docs(sf_dir, ["doc_id", "text"])
-    out = paragraph_dedup_dataset(ds, chunk_words, n_parts).to_pandas()
+    out = to_frame(paragraph_dedup_dataset(ds, chunk_words, n_parts))
     return (
         out[["doc_id", "text", "n_pars", "n_dropped"]]
         .sort_values("doc_id")
@@ -245,11 +235,10 @@ def q_docs_dup_ngram_fraction(sf_dir: str, w: int = 8,
         out["n_dup"] = out["n_dup"].astype("int64")
         return out
 
-    parts = (
+    parts = to_frame(
         ds.map_batches(explode, batch_format="pandas")
         .groupby("part")
         .map_groups(gram_partials, batch_format="pandas")
-        .to_pandas()
     )
     out = parts.groupby("doc_id", as_index=False).agg(
         n_grams=("n_grams", "sum"), n_dup=("n_dup", "sum")
@@ -384,7 +373,8 @@ def q_docs_substring_dedup(sf_dir: str, w: int = 8,
         per-gram-string lexicographic (doc_id, start) winner."""
         g = g.sort_values(["gram", "doc_id", "start"], kind="stable")
         grams = g["gram"].to_numpy()
-        is_winner = np.r_[True, grams[1:] != grams[:-1]]
+        is_winner = np.ones(len(g), dtype=bool)
+        is_winner[1:] = grams[1:] != grams[:-1]
         dup = g[~is_winner]
         d = dup["doc_id"].to_numpy()
         return pd.DataFrame(
@@ -430,7 +420,7 @@ def q_docs_substring_dedup(sf_dir: str, w: int = 8,
                 "doc_id": pd.array(ids, dtype="int64"),
                 "n_tokens": pd.array(n_toks, dtype="int64"),
                 "n_removed": pd.array(n_rem, dtype="int64"),
-                "text": pd.array(texts, dtype="string[pyarrow]"),
+                "text": pd.array(texts, dtype=object),
             }
         )
 
@@ -439,12 +429,11 @@ def q_docs_substring_dedup(sf_dir: str, w: int = 8,
         .groupby("part")
         .map_groups(dup_occurrences, batch_format="pandas")
     )
-    out = (
+    out = to_frame(
         ds.map_batches(doc_rows, batch_format="pandas")
         .union(dups)
         .groupby("dpart")
         .map_groups(rebuild_part, batch_format="pandas")
-        .to_pandas()
     )
     return out.sort_values("doc_id").reset_index(drop=True)
 

@@ -145,7 +145,7 @@ def q_events_distinct_users_hll(sf_dir: str) -> pd.DataFrame:
 
     def finish(sks: dict) -> pd.DataFrame:
         return pd.DataFrame({
-            "event_type": list(sks),
+            "event_type": pd.array(list(sks), dtype=object),
             "n_users_est": pd.array(
                 [int(round(sk.estimate())) for sk in sks.values()],
                 dtype="int64"),

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.text import detect_language, fingerprint64
+from .io import to_frame
 
 
 def _docs(sf_dir: str, columns: list[str]):
@@ -39,7 +40,7 @@ def q_token_counts(sf_dir: str) -> pd.DataFrame:
             {"doc_id": t["doc_id"], "n_tokens": pc.cast(n, pa.int64())}
         )
 
-    return ds.map_batches(count, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(count, batch_format="pyarrow"))
 
 
 SQL_TOKEN_COUNTS = """
@@ -77,7 +78,7 @@ def q_quality_signals(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    return ds.map_batches(signals, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(signals, batch_format="pyarrow"))
 
 
 SQL_QUALITY_SIGNALS = """
@@ -159,9 +160,9 @@ def q_doc_exact_dedup(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"],
-                "text_hash": [
+                "text_hash": pd.array([
                     hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["text"]
-                ],
+                ], dtype=object),
             }
         )
 
@@ -197,21 +198,17 @@ def q_langid_quality(sf_dir: str) -> pd.DataFrame:
     def score(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.text import quality_signals
 
-        rows = []
-        for doc_id, text in zip(df["doc_id"], df["text"]):
-            q = quality_signals(text)
-            rows.append(
-                {
-                    "doc_id": doc_id,
-                    "pred_lang": detect_language(text),
-                    "stopword_ratio": round(q["stopword_ratio"], 4),
-                    "punct_ratio": round(q["punct_ratio"], 4),
-                    "alpha_ratio": round(q["alpha_ratio"], 4),
-                }
-            )
-        return pd.DataFrame(rows)
+        qs = [quality_signals(t) for t in df["text"]]
+        out = pd.DataFrame({
+            "doc_id": df["doc_id"],
+            "pred_lang": pd.array([detect_language(t) for t in df["text"]],
+                                  dtype=object),
+        })
+        for c in ("stopword_ratio", "punct_ratio", "alpha_ratio"):
+            out[c] = pd.array([round(q[c], 4) for q in qs], dtype="float64")
+        return out
 
-    return ds.map_batches(score, batch_format="pandas").to_pandas()
+    return to_frame(ds.map_batches(score, batch_format="pandas"))
 
 
 def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
@@ -225,16 +222,16 @@ def q_doc_fingerprints(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(
             {
                 "doc_id": df["doc_id"],
-                "fingerprint": [
+                "fingerprint": pd.array([
                     fingerprint64(t) - (1 << 63) for t in df["text"]
-                ],  # shift into int64 range
-                "sim_fingerprint": [
+                ], dtype="int64"),  # shift into int64 range
+                "sim_fingerprint": pd.array([
                     rolling_min_fingerprint(t) - (1 << 63) for t in df["text"]
-                ],
+                ], dtype="int64"),
             }
         )
 
-    return ds.map_batches(fp, batch_format="pandas").to_pandas()
+    return to_frame(ds.map_batches(fp, batch_format="pandas"))
 
 
 def q_token_counts_bpe(sf_dir: str) -> pd.DataFrame:
@@ -253,7 +250,7 @@ def q_token_counts_bpe(sf_dir: str) -> pd.DataFrame:
             {"doc_id": t["doc_id"], "n_bpe_tokens": pc.cast(n, pa.int64())}
         )
 
-    return ds.map_batches(count, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(count, batch_format="pyarrow"))
 
 
 SQL_TOKEN_COUNTS_BPE = r"""
@@ -339,7 +336,7 @@ def q_doc_sample(sf_dir: str, k: int = 100, seed: int = 11) -> pd.DataFrame:
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    parts = to_frame(ds.map_batches(partial, batch_format="pandas"))
     parts["hu"] = parts["h"].to_numpy().view("uint64")
     out = parts.sort_values(["hu", "doc_id"]).head(k)
     return (
@@ -373,10 +370,9 @@ def q_docs_per_source_cap(sf_dir: str, n: int = 5) -> pd.DataFrame:
         return g.sort_values(["n_chars", "doc_id"],
                              ascending=[False, True]).head(n)
 
-    out = (
+    out = to_frame(
         ds.groupby("source")
         .map_groups(topn, batch_format="pandas")
-        .to_pandas()
     )
     return (
         out[["doc_id", "source", "n_chars"]]
@@ -443,7 +439,7 @@ def q_docs_gopher_quality(sf_dir: str) -> pd.DataFrame:
             "keep": pa.array(keep),
         })
 
-    return ds.map_batches(stats, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(stats, batch_format="pyarrow"))
 
 
 SQL_DOCS_GOPHER_QUALITY = """
@@ -507,7 +503,7 @@ def q_docs_tfidf_topk(sf_dir: str, k: int = 3) -> pd.DataFrame:
             "df_part": pa.array(dfc, pa.int64()),
         })
 
-    parts = ds.map_batches(df_partial, batch_format="pyarrow").to_pandas()
+    parts = to_frame(ds.map_batches(df_partial, batch_format="pyarrow"))
     dfmap = parts.groupby("word", sort=True)["df_part"].sum()
     n_docs = int(ds.count())
     bc_words = dfmap.index.to_numpy(dtype=object).astype(str)
@@ -538,7 +534,7 @@ def q_docs_tfidf_topk(sf_dir: str, k: int = 3) -> pd.DataFrame:
             "rnk": pa.array(rnk[m], pa.int64()),
         })
 
-    return ds.map_batches(score, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(score, batch_format="pyarrow"))
 
 
 def sql_docs_tfidf_topk(k: int = 3) -> str:
@@ -611,7 +607,7 @@ def q_bpe_learn_merges(sf_dir: str, n_merges: int = 12) -> pd.DataFrame:
             "n": pa.array(counts, pa.int64()),
         })
 
-    parts = ds.map_batches(wc_partial, batch_format="pyarrow").to_pandas()
+    parts = to_frame(ds.map_batches(wc_partial, batch_format="pyarrow"))
     wc = parts.groupby("word", sort=True)["n"].sum()
     words = [list(w) + ["</w>"] for w in wc.index]  # symbol sequences
     freqs = wc.to_numpy(np.int64)
@@ -639,9 +635,9 @@ def q_bpe_learn_merges(sf_dir: str, n_merges: int = 12) -> pd.DataFrame:
                     i += 1
     return pd.DataFrame({
         "rank": pd.array(range(1, len(merges) + 1), dtype="int64"),
-        "left": [m[0] for m in merges],
-        "right": [m[1] for m in merges],
-        "merged": [m[0] + m[1] for m in merges],
+        "left": pd.array([m[0] for m in merges], dtype=object),
+        "right": pd.array([m[1] for m in merges], dtype=object),
+        "merged": pd.array([m[0] + m[1] for m in merges], dtype=object),
         "pair_count": pd.array([m[2] for m in merges], dtype="int64"),
     })
 
@@ -668,7 +664,7 @@ def q_docs_split(sf_dir: str, seed: int = 17,
             "split": split,
         })
 
-    return ds.map_batches(assign, batch_format="pandas").to_pandas()
+    return to_frame(ds.map_batches(assign, batch_format="pandas"))
 
 
 def sql_docs_split(seed: int = 17, val_pct: int = 5,
@@ -692,44 +688,39 @@ def q_docs_token_quantiles(sf_dir: str) -> pd.DataFrame:
     Scale pattern: quantiles over 100 TB WITHOUT a global sort. Token
     counts are small integers, so the value distribution is computed
     as a histogram: a vectorized per-batch ``(lang, n_tokens) → count``
-    partial aggregation inside ``map_batches``, one small
-    ``groupby().sum()`` over the compact histogram (cardinality ≤
-    #langs × max-doc-tokens, independent of corpus row count), then a
-    driver-side CDF walk. percentile_disc semantics (smallest value
+    partial aggregation inside ``map_batches``, then one combine step
+    (``partial_grouped_agg``) sums the compact histogram (cardinality ≤
+    #langs × max-doc-tokens, independent of corpus row count) and walks
+    each language's CDF. percentile_disc semantics (smallest value
     whose CDF ≥ p) are reproduced with integer cross-multiplication
     (``cum · den ≥ n · num``) — no float thresholds, bit-exact vs
     DuckDB."""
-    import numpy as np
+    from .aggutil import partial_grouped_agg
 
     ds = _docs(sf_dir, ["lang", "text"])
+    keys = ["lang", "n_tokens"]
 
-    def hist(t: pa.Table) -> pa.Table:
-        n = pc.cast(
-            pc.list_value_length(pc.split_pattern(t["text"], " ")), pa.int64()
-        )
-        tt = pa.table({"lang": t["lang"], "n_tokens": n})
-        return tt.group_by(["lang", "n_tokens"]).aggregate([([], "count_all")])
+    def hist(df: pd.DataFrame) -> pd.DataFrame:
+        n = pc.list_value_length(
+            pc.split_pattern(pa.array(df["text"], pa.string()), " "))
+        tt = pd.DataFrame({"lang": df["lang"].to_numpy(),
+                           "n_tokens": n.to_numpy().astype("int64")})
+        return tt.groupby(keys, as_index=False, sort=False).size()
 
-    agg = (
-        ds.map_batches(hist, batch_format="pyarrow")
-        .groupby(["lang", "n_tokens"])
-        .sum("count_all")
-        .to_pandas()
-    )
-    rows = []
-    for lang, g in agg.groupby("lang"):
-        g = g.sort_values("n_tokens")
-        vals = g["n_tokens"].to_numpy()
-        cum = np.cumsum(g["sum(count_all)"].to_numpy())
-        n = int(cum[-1])
-        row = {"lang": lang, "n_docs": n}
+    def quantiles(df: pd.DataFrame) -> pd.DataFrame:
+        h = df.groupby(keys, as_index=False, sort=True)["size"].sum()
+        cum = h.groupby("lang")["size"].cumsum()
+        n = h.groupby("lang")["size"].transform("sum")
+        out = h.groupby("lang", as_index=False).agg(n_docs=("size", "sum"))
         for name, num, den in (
             ("p25", 1, 4), ("p50", 1, 2), ("p75", 3, 4), ("p95", 19, 20),
         ):
-            idx = int(np.searchsorted(cum * den, n * num, side="left"))
-            row[name] = int(vals[idx])
-        rows.append(row)
-    out = pd.DataFrame(rows).sort_values("lang").reset_index(drop=True)
+            # the first value of each lang whose CDF reaches p
+            hit = h[cum * den >= n * num]
+            out[name] = hit.groupby("lang")["n_tokens"].first().to_numpy()
+        return out
+
+    out = partial_grouped_agg(ds, hist, quantiles)
     return out.astype({"n_docs": "int64", "p25": "int64", "p50": "int64",
                        "p75": "int64", "p95": "int64"})
 
@@ -778,7 +769,7 @@ def q_docs_regex_scan(sf_dir: str) -> pd.DataFrame:
             )
         return pa.table(cols)
 
-    return ds.map_batches(scan, batch_format="pyarrow").to_pandas()
+    return to_frame(ds.map_batches(scan, batch_format="pyarrow"))
 
 
 SQL_DOCS_REGEX_SCAN = """
@@ -828,17 +819,16 @@ def q_docs_inverted_index(sf_dir: str, k: int = 5) -> pd.DataFrame:
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         merged = sorted({i for lst in g["postings"] for i in lst})[:k]
-        return pd.DataFrame({
-            "token": [g["token"].iloc[0]],
-            "df": [int(g["df"].sum())],
-            "postings": [",".join(str(i) for i in merged)],
-        })
+        # head(1): one row per token, none for an empty group
+        return g[["token"]].head(1).assign(
+            df=int(g["df"].sum()),
+            postings=",".join(str(i) for i in merged),
+        )
 
-    out = (
+    out = to_frame(
         ds.map_batches(partials, batch_format="pyarrow")
         .groupby("token")
         .map_groups(merge, batch_format="pandas")
-        .to_pandas()
     )
     return (
         out.astype({"df": "int64"})
@@ -918,7 +908,7 @@ def q_docs_stratified_sample(sf_dir: str, k: int = 25, seed: int = 23
         return sub.sort_values("h", key=lambda s: s.to_numpy().view("uint64")
                                ).groupby("lang", sort=False).head(k)
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    parts = to_frame(ds.map_batches(partial, batch_format="pandas"))
     parts["hu"] = parts["h"].to_numpy().view("uint64")
     out = (
         parts.sort_values(["hu", "doc_id"])
@@ -997,7 +987,7 @@ def q_docs_pii_scrub(sf_dir: str) -> pd.DataFrame:
             "scrub_md5": pa.array(md5, pa.string()),
         })
 
-    out = ds.map_batches(scrub, batch_format="pyarrow").to_pandas()
+    out = to_frame(ds.map_batches(scrub, batch_format="pyarrow"))
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1062,7 +1052,7 @@ def q_docs_weighted_sample(sf_dir: str, k: int = 100, seed: int = 31
             "key": key[idx],
         })
 
-    parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
+    parts = to_frame(ds.map_batches(partial, batch_format="pandas"))
     out = parts.sort_values(["key", "doc_id"]).head(k)
     return (
         out[["doc_id", "source", "n_chars"]]
@@ -1162,10 +1152,8 @@ def q_words_edit_pairs(sf_dir: str, max_dist: int = 2,
         words = df["text"].str.split().explode().dropna().unique()
         return pd.DataFrame({"word": pd.array(words, dtype=object)})
 
-    vocab = (
-        ds.map_batches(vocab_partial, batch_format="pandas")
-        .to_pandas()["word"].unique()
-    )
+    vocab = to_frame(
+        ds.map_batches(vocab_partial, batch_format="pandas"))["word"].unique()
     vocab_df = pd.DataFrame({"word": sorted(vocab)})
 
     import ray.data
@@ -1203,16 +1191,15 @@ def q_words_edit_pairs(sf_dir: str, max_dist: int = 2,
             "dist": pd.array(out_d, dtype="int64"),
         })
 
-    out = (
-        # repartition first: from_pandas yields ONE block, and the
-        # neighborhood explode is the dominant cost of the query —
-        # it must fan out, not run on a single core
+    # repartition first: from_pandas yields ONE block, and the
+    # neighborhood explode is the dominant cost of the query — it must
+    # fan out, not run on a single core
+    out = to_frame(
         ray.data.from_pandas(vocab_df)
         .repartition(min(n_parts, max(1, len(vocab_df) // 64)))
         .map_batches(explode, batch_format="pandas")
         .groupby("part")
         .map_groups(pairs, batch_format="pandas")
-        .to_pandas()
     )
     return (
         out.drop_duplicates(["word_a", "word_b"])

@@ -31,6 +31,7 @@ import ray.data
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 from ..config import CrawlConfig
+from ..ops.io import to_frame
 from ..stages.process import ProcessContext
 from ..urlkit.canonicalize import canonicalize_url
 from .crawl import load_unified
@@ -120,11 +121,10 @@ def phash_buckets(
             }
         )
 
-    return (
+    return to_frame(
         ds.map_batches(project, batch_format="pyarrow")
         .groupby("band")
         .map_groups(bucketize, batch_format="pandas")
-        .to_pandas()
     )
 
 
@@ -140,7 +140,7 @@ def host_level_counts(output_dir: str, level: int = 2) -> pd.DataFrame:
         )
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    return (
+    return to_frame(
         parts.repartition(1)
         .map_batches(
             lambda d: d.groupby(col, as_index=False, sort=False).agg(
@@ -148,7 +148,6 @@ def host_level_counts(output_dir: str, level: int = 2) -> pd.DataFrame:
             ),
             batch_format="pandas", batch_size=None,
         )
-        .to_pandas()
     )
 
 
@@ -167,7 +166,7 @@ def dir_depth_histogram(output_dir: str) -> pd.DataFrame:
         return out
 
     parts = ds.map_batches(partial, batch_format="pandas")
-    return (
+    out = to_frame(
         parts.repartition(1)
         .map_batches(
             lambda d: d.groupby("depth", as_index=False, sort=False).agg(
@@ -175,10 +174,8 @@ def dir_depth_histogram(output_dir: str) -> pd.DataFrame:
             ),
             batch_format="pandas", batch_size=None,
         )
-        .to_pandas()
-        .sort_values("depth")
-        .reset_index(drop=True)
     )
+    return out.sort_values("depth").reset_index(drop=True)
 
 
 def verify_admission_invariants(output_dir: str, cfg: CrawlConfig | None = None) -> pd.DataFrame:
@@ -200,7 +197,7 @@ def verify_admission_invariants(output_dir: str, cfg: CrawlConfig | None = None)
                 bad.append({"url": url, "violation": "inadmissible"})
         return pd.DataFrame(bad, columns=["url", "violation"])
 
-    return ds.map_batches(check, batch_format="pandas").to_pandas()
+    return to_frame(ds.map_batches(check, batch_format="pandas"))
 
 
 def export_media_files(output_dir: str, dest: str,
@@ -247,12 +244,8 @@ def export_media_files(output_dir: str, dest: str,
             "n_bytes": pa.array(sizes, pa.int64()),
         })
 
-    return (
-        ds.map_batches(write_rows, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
+    out = to_frame(ds.map_batches(write_rows, batch_format="pyarrow"))
+    return out.sort_values("url").reset_index(drop=True)
 
 
 def thumb_embedding(px: "np.ndarray") -> "np.ndarray":

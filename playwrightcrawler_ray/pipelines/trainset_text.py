@@ -57,7 +57,15 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..ops.io import materialize, to_frame
+
 _FINAL_COLS = ["doc_id", "text", "lang", "source", "n_tokens", "text_hash"]
+# the manifest a written corpus reads back as (``shard`` is the
+# partition directory)
+_MANIFEST_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("source", pa.string()), ("lang", pa.string()),
+    ("n_tokens", pa.int64()), ("shard", pa.int64()),
+])
 
 
 def build_text_trainset(
@@ -139,17 +147,17 @@ def build_text_trainset(
         # materialize the gate output ONCE — counting a lazy Dataset
         # and then mapping it would re-run the gate (the most
         # expensive stage) from scratch
-        gated = gated.materialize()
+        gated = materialize(gated)
         pre = gated.count()
 
         def holdout_count(df: pd.DataFrame) -> pd.DataFrame:
             n = int((df["doc_id"] % decontaminate_mod == 0).sum())
             return pd.DataFrame({"n": pd.array([n], dtype="int64")})
 
-        n_holdout = int(gated.map_batches(
-            holdout_count, batch_format="pandas").to_pandas()["n"].sum())
-        gated = gated.map_batches(
-            drop_contaminated, batch_format="pandas").materialize()
+        n_holdout = int(to_frame(gated.map_batches(
+            holdout_count, batch_format="pandas"))["n"].sum())
+        gated = materialize(gated.map_batches(
+            drop_contaminated, batch_format="pandas"))
         # contamination drops only — the holdout slice is removed by
         # definition, not because it overlapped anything
         n_contaminated = pre - n_holdout - gated.count()
@@ -158,9 +166,9 @@ def build_text_trainset(
     def keep_min(g: pd.DataFrame) -> pd.DataFrame:
         return g.sort_values("doc_id").head(1)
 
-    survivors = gated.groupby("text_hash").map_groups(
-        keep_min, batch_format="pandas"
-    ).materialize()  # consumed twice below (edge gen + final filter)
+    # consumed twice below (edge gen + final filter)
+    survivors = materialize(gated.groupby("text_hash").map_groups(
+        keep_min, batch_format="pandas"))
 
     # --- 3. near-dup collapse over the survivors ---
     sel = survivors.select_columns(["doc_id", "text"])
@@ -226,11 +234,8 @@ def build_text_trainset(
     capped.map_batches(add_shard, batch_format="pyarrow").write_parquet(
         dest, partition_cols=["shard"]
     )
-    import pyarrow.parquet as pq
-
-    out = pq.read_table(dest, columns=["doc_id"])
     return {
-        "rows": out.num_rows,
+        "rows": len(read_manifest(dest)),
         "dest": dest,
         "n_dropped_decontam": int(n_contaminated),
         "n_dropped_holdout": int(n_holdout),
@@ -241,22 +246,29 @@ def build_text_trainset(
     }
 
 
+def read_manifest(dest: str) -> pd.DataFrame:
+    """The curated corpus's manifest under ``dest`` (metadata columns,
+    by ``doc_id``), typed by ``_MANIFEST_SCHEMA`` even when the write
+    left no ``shard=*`` directory."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    os.makedirs(dest, exist_ok=True)
+    shard = pads.partitioning(pa.schema([_MANIFEST_SCHEMA.field("shard")]),
+                              flavor="hive")
+    df = pq.read_table(dest, schema=_MANIFEST_SCHEMA,
+                       partitioning=shard).to_pandas()
+    return df.sort_values("doc_id").reset_index(drop=True)
+
+
 def q_docs_trainset(sf_dir: str, edge_mode: str = "minhash") -> pd.DataFrame:
     """Driver query: run the full text-trainset build and return the
     curated corpus manifest (metadata columns only, deterministic
     order). Rows-only when ``edge_mode='minhash'`` (LSH recall);
     the ``exact`` twin is oracle-checked against DuckDB."""
-    import pyarrow.parquet as pq
-
     dest = f"/tmp/pwc_text_trainset_{edge_mode}"
     build_text_trainset(sf_dir, dest, edge_mode=edge_mode)
-    df = pq.read_table(
-        dest, columns=["doc_id", "source", "lang", "n_tokens", "shard"]
-    ).to_pandas()
-    df["shard"] = df["shard"].astype("int64")  # partition col reads as str
-    return df.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "source", "lang", "n_tokens", "shard"]
-    ]
+    return read_manifest(dest)
 
 
 def q_docs_trainset_exact(sf_dir: str) -> pd.DataFrame:
@@ -268,18 +280,10 @@ def q_docs_trainset_decontam(sf_dir: str, bench_mod: int = 97
     """The full curation chain WITH the benchmark-decontamination
     stage active (gate → decontaminate → exact dedup → exact-edge
     near-dup collapse → quota → sharded write)."""
-    import pyarrow.parquet as pq
-
     dest = "/tmp/pwc_text_trainset_decontam"
     build_text_trainset(sf_dir, dest, edge_mode="exact",
                         decontaminate_mod=bench_mod)
-    df = pq.read_table(
-        dest, columns=["doc_id", "source", "lang", "n_tokens", "shard"]
-    ).to_pandas()
-    df["shard"] = df["shard"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "source", "lang", "n_tokens", "shard"]
-    ]
+    return read_manifest(dest)
 
 
 def q_docs_trainset_pardedup(sf_dir: str, chunk_words: int = 8
@@ -287,18 +291,10 @@ def q_docs_trainset_pardedup(sf_dir: str, chunk_words: int = 8
     """The full curation chain WITH the cross-doc paragraph-exact
     dedup stage active (paragraph dedup → gate → exact dedup →
     exact-edge near-dup collapse → quota → sharded write)."""
-    import pyarrow.parquet as pq
-
     dest = "/tmp/pwc_text_trainset_pardedup"
     build_text_trainset(sf_dir, dest, edge_mode="exact",
                         paragraph_dedup_words=chunk_words)
-    df = pq.read_table(
-        dest, columns=["doc_id", "source", "lang", "n_tokens", "shard"]
-    ).to_pandas()
-    df["shard"] = df["shard"].astype("int64")
-    return df.sort_values("doc_id").reset_index(drop=True)[
-        ["doc_id", "source", "lang", "n_tokens", "shard"]
-    ]
+    return read_manifest(dest)
 
 
 def sql_docs_trainset_exact(

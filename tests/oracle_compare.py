@@ -1,5 +1,5 @@
 """The driver's oracle comparison, shared by the tests that check an op
-against its DuckDB twin: same columns, same dtype kind per column and
+against its DuckDB twin: same columns, the same dtype per column and
 the same rows in any order."""
 
 from __future__ import annotations
@@ -8,8 +8,8 @@ import pandas as pd
 
 
 def _dtype_kind(s: pd.Series) -> str:
-    """The dtype family a column must share with its oracle twin:
-    float width may differ (float32 vs float64), the kind may not."""
+    """A column's dtype family: what a rows-only op's zero-row columns
+    share with its columns on data, where no oracle fixes the width."""
     t = s.dtype
     if pd.api.types.is_bool_dtype(t):
         return "bool"
@@ -37,14 +37,15 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def assert_matches_oracle(got, want: pd.DataFrame) -> None:
-    """Same columns, same dtype kind per column, same rows in any
-    order (floats rounded by ``_normalize``)."""
+    """Same columns, the same dtype per column (compared before
+    ``_normalize`` widens the ints), same rows in any order (floats
+    rounded by ``_normalize``)."""
     if not isinstance(got, pd.DataFrame):
         got = got.to_pandas()
-    kinds = {c: (_dtype_kind(got[c]), _dtype_kind(want[c]))
-             for c in got.columns if c in want.columns}
-    assert all(a == b for a, b in kinds.values()), {
-        c: k for c, k in kinds.items() if k[0] != k[1]}
+    dtypes = {c: (str(got[c].dtype), str(want[c].dtype))
+              for c in got.columns if c in want.columns}
+    assert all(a == b for a, b in dtypes.values()), {
+        c: d for c, d in dtypes.items() if d[0] != d[1]}
     g, w = _normalize(got), _normalize(want)
     assert list(g.columns) == list(w.columns), (g.columns, w.columns)
     assert len(g) == len(w), (len(g), len(w))

@@ -15,7 +15,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 import __ray_entry__  # noqa: E402
-from oracle_compare import assert_matches_oracle  # noqa: E402
+from oracle_compare import _dtype_kind, assert_matches_oracle  # noqa: E402
 
 SF_DIR = os.environ.get("PWC_TEST_SF", "/root/testdata/sf0.001")
 TABLES = [
@@ -737,15 +737,19 @@ def _zero_row_tables(dest) -> str:
     return str(dest)
 
 
+@pytest.fixture(scope="module")
+def zero_sf(tmp_path_factory):
+    return _zero_row_tables(tmp_path_factory.mktemp("zero_sf"))
+
+
 def test_partial_grouped_agg_keeps_combine_columns_on_zero_rows(
-        ray_session, tmp_path):
+        ray_session, zero_sf):
     """No partial rows reach the combine of a zero-row input, so Ray
     never runs it; the result still has combine's typed columns."""
     from playwrightcrawler_ray.ops.aggutil import partial_grouped_agg
     from playwrightcrawler_ray.ops.io import read_table
 
-    ds = read_table(_zero_row_tables(tmp_path), "documents",
-                    ["lang", "n_chars"])
+    ds = read_table(zero_sf, "documents", ["lang", "n_chars"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(
@@ -763,11 +767,27 @@ def test_partial_grouped_agg_keeps_combine_columns_on_zero_rows(
         "lang": "object", "n": "int64", "chars": "int64", "avg": "float64"}
 
 
-# one op on partial_grouped_agg from each module that calls it
-@pytest.mark.parametrize("name", ["lang_distribution", "pricing_summary",
-                                  "bloom_semijoin"])
-def test_ops_on_zero_row_tables_match_oracle(entrymod, tmp_path, name):
-    sf = _zero_row_tables(tmp_path)
-    got = entrymod.queries()[name](sf)
-    assert_matches_oracle(got, _duck(ORACLE_SQL[name], sf))
-    assert len(got) == 0 and len(got.columns) > 0
+@pytest.mark.parametrize("name", sorted(ORACLE_SQL))
+def test_ops_on_zero_row_tables_match_oracle(entrymod, zero_sf, name):
+    """Every oracled op keeps its typed columns on zero-row tables, and
+    where SQL gives rows on empty input (a ROLLUP grand total, a bare
+    aggregate) it gives the same rows."""
+    got = entrymod.queries()[name](zero_sf)
+    assert_matches_oracle(got, _duck(ORACLE_SQL[name], zero_sf))
+    assert len(got.columns) > 0
+
+
+# every rows-only op that reads the parquet tables, not crawl output
+ROWS_ONLY = sorted(op.name for op in __ray_entry__.op_registry()
+                   if op.sql is None and not op.name.startswith("crawl_"))
+
+
+@pytest.mark.parametrize("name", ROWS_ONLY)
+def test_rows_only_ops_keep_their_columns_on_zero_rows(entrymod, zero_sf,
+                                                       name):
+    """No oracle fixes a rows-only op's output, so at zero rows it must
+    return the columns, and the dtype kinds, it returns on data."""
+    q = entrymod.queries()[name]
+    kinds = [[(c, _dtype_kind(df[c])) for c in df.columns]
+             for df in (q(SF_DIR), q(zero_sf))]
+    assert kinds[1] == kinds[0]
