@@ -53,9 +53,6 @@ class CorpusData:
     # ground truth for test assertions (not visible to the engine):
     truth_images: dict[str, dict] = field(default_factory=dict)  # img url -> {pixels_shape, caption, fmt}
 
-    def n_pages(self) -> int:
-        return len(self.pages)
-
 
 def _make_pixels(rng: np.random.Generator, size: int) -> np.ndarray:
     """Smooth seeded RGB image: low-res noise upsampled + gradient."""

@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import re
 
-__all__ = ["JsError", "run_script", "Interp", "JSObject", "JSArray",
+__all__ = ["JsError", "Interp", "JSObject", "JSArray",
            "NativeFn", "UNDEF", "js_str", "js_truthy"]
 
 MAX_STEPS = 200_000
@@ -2682,23 +2682,3 @@ def std_globals() -> dict:
             "error": NativeFn(lambda this, a: UNDEF, "error"),
         }),
     }
-
-
-def run_script(src: str, extra_globals: dict | None = None,
-               max_steps: int = MAX_STEPS) -> Interp:
-    """Parse + execute ``src`` in a fresh sandbox; returns the Interp
-    (host inspects its injected objects for side effects).  Raises
-    ``JsError`` for can't-run conditions; in-language uncaught throws
-    surface as ``JsError`` too (the page's script crashed — same
-    outcome for the render)."""
-    g = std_globals()
-    if extra_globals:
-        g.update(extra_globals)
-    interp = Interp(g, max_steps=max_steps)
-    try:
-        interp.run(src)
-    except JsThrow as e:
-        raise JsError(f"uncaught: {js_str(e.value)}") from None
-    except RecursionError:
-        raise JsError("recursion limit") from None
-    return interp

@@ -2,9 +2,8 @@
 
 The reference stores compressed audio/video via its content-type
 router without decoding (``handle_content_type``, playwrightcrawler.py
-:2741-2843).  Full PCM/pixel decode of mp3/ogg/aac/mp4/webm needs
-ffmpeg, which is not in this container — those paths stay typed
-``CodecUnavailable`` stubs in stages/multimodal.py.  What a 100 TB
+:2741-2843), and so does the crawl: a full PCM/pixel decode of
+mp3/ogg/aac/mp4/webm would need ffmpeg.  What a 100 TB
 training-data pipeline actually needs from such rows FIRST, though, is
 metadata — duration, sample rate, channels, codec, frame size — to
 filter and route without decoding a single sample.  This module

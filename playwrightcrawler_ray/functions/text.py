@@ -15,7 +15,6 @@ import re
 from collections import Counter
 
 _NON_WORD_RE = re.compile(r"[^\w\s]", re.UNICODE)
-_TOKEN_RE = re.compile(r"\w+(?:'\w+)?|[^\w\s]", re.UNICODE)  # BPE-ish word/punct split
 
 
 def extract_top_words(
@@ -62,11 +61,6 @@ def detect_language(text: str) -> str:
         if score > best_score:
             best, best_score = lang, score
     return best if best_score > 0.02 else "und"
-
-
-def count_tokens(text: str) -> int:
-    """BPE-ish token count: word-piece + punctuation tokens."""
-    return len(_TOKEN_RE.findall(text))
 
 
 def quality_signals(text: str) -> dict[str, float]:

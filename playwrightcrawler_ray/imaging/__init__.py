@@ -1,11 +1,8 @@
 """Imaging: encode/decode/hash for the ``images`` table payloads.
 
-This container has no PIL/OpenCV, so the codec layer is self-contained:
-real PNG and GIF codecs (zlib/LZW + numpy, lossless) and a deterministic
-quantized lossy format ("qimg") standing in for JPEG. JPEG/WebP decode is
-STUBBED behind ``CodecUnavailable`` (NotImplementedError) — the Ray-side
-plumbing (schemas, batch sizes, actor signatures, error taxonomy rows)
-is real and tested either way.
+This container has no PIL/OpenCV, so the codec layer is self-contained
+pure Python + numpy; ``codec.py`` lists the formats. A format or
+feature without a decoder raises ``CodecUnavailable``.
 """
 
 from .codec import (
@@ -16,7 +13,6 @@ from .codec import (
     encode_image,
     dhash64,
     pixel_hash,
-    psnr,
 )
 
 __all__ = [
@@ -27,5 +23,4 @@ __all__ = [
     "encode_image",
     "dhash64",
     "pixel_hash",
-    "psnr",
 ]

@@ -1,4 +1,4 @@
-"""Image codec facade: decode → normalized RGB pixels, hashes, PSNR.
+"""Image codec facade: decode → normalized RGB pixels, hashes.
 
 Maps the reference's image handler semantics
 (playwrightcrawler.py:3844-3930):
@@ -280,18 +280,3 @@ def dhash64(pixels: np.ndarray) -> int:
     for b in bits:
         val = (val << 1) | int(b)
     return val - (1 << 64) if val >= (1 << 63) else val
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
-
-
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB between two uint8 pixel arrays
-    (inf for identical) — the lossy-format allclose invariant."""
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
-    if mse == 0:
-        return float("inf")
-    return 10.0 * np.log10(255.0**2 / mse)

@@ -5,16 +5,11 @@ Decoder: logical screen descriptor, global/local color tables, LZW
 dictionary), interlaced images, GIF89a graphics-control transparency
 (composited over white like the rest of the imaging layer).
 ``gif_decode`` yields the first frame (how a crawler snapshots a GIF
-for the still-image path); ``gif_decode_frames`` decodes the FULL
-animation with real GIF89a compositing — per-frame rects, transparency
-holes, and all three disposal methods (leave / restore-to-background /
-restore-previous) — for the video frame-sampling stage.
+for the still-image path).
 
-Encoders (used by the corpus/tests): palette-based single-frame GIF89a
+Encoder (used by the corpus/tests): palette-based single-frame GIF89a
 for images with ≤256 distinct colors, with a real LZW compressor —
-round-trips exercise the decoder's dictionary growth path — and
-``gif_encode_anim`` (multi-frame, per-frame local palettes, GCE
-disposal/transparency, NETSCAPE2.0 loop block) for animation fixtures.
+round-trips exercise the decoder's dictionary growth path.
 """
 
 from __future__ import annotations
@@ -259,152 +254,5 @@ def gif_encode(pixels: np.ndarray, interlace: bool = False) -> bytes:
         out.append(len(chunk))
         out += chunk
     out.append(0)
-    out.append(0x3B)
-    return bytes(out)
-
-
-def gif_decode_frames(data: bytes, max_pixels: int = 64_000_000,
-                      max_frames: int = 1024
-                      ) -> tuple[list[np.ndarray], list[int]]:
-    """Decode ALL frames of a (possibly animated) GIF with real GIF89a
-    compositing: each frame's rect is drawn onto the logical-screen
-    canvas with transparency holes preserving prior content, the
-    snapshot is emitted, then the frame's disposal method runs —
-    0/1 leave, 2 restore-to-background, 3 restore-previous. The
-    canvas starts white and "background" renders white, the imaging
-    layer's flatten convention (gif_decode composes its first frame
-    identically). Returns (frames, per-frame delays in centiseconds).
-    """
-    if not data[:6] in (b"GIF87a", b"GIF89a"):
-        raise ValueError("not a GIF stream")
-    sw, sh, packed, _bg, _ar = struct.unpack_from("<HHBBB", data, 6)
-    if sw * sh > max_pixels:
-        raise MemoryError(f"decompression bomb: {sw}x{sh}")
-    pos = 13
-    gct = None
-    if packed & 0x80:
-        n = 2 << (packed & 0x07)
-        gct = np.frombuffer(data[pos : pos + 3 * n], np.uint8).reshape(n, 3)
-        pos += 3 * n
-    canvas = np.full((sh, sw, 3), 255, np.uint8)
-    frames: list[np.ndarray] = []
-    delays: list[int] = []
-    transparent_idx: int | None = None
-    disposal = 0
-    delay_cs = 0
-    while pos < len(data) and len(frames) < max_frames:
-        b = data[pos]
-        pos += 1
-        if b == 0x3B:  # trailer
-            break
-        if b == 0x21:  # extension
-            label = data[pos]
-            pos += 1
-            if label == 0xF9 and data[pos] == 4:
-                gc_packed = data[pos + 1]
-                disposal = (gc_packed >> 2) & 0x07
-                transparent_idx = data[pos + 4] if gc_packed & 0x01 else None
-                (delay_cs,) = struct.unpack_from("<H", data, pos + 2)
-            while True:
-                sz = data[pos]
-                pos += 1
-                if sz == 0:
-                    break
-                pos += sz
-            continue
-        if b != 0x2C:
-            raise ValueError(f"unexpected GIF block 0x{b:02x}")
-        left, top, arr, ct, pos = _read_image_block(data, pos, gct,
-                                                    max_pixels)
-        ih, iw = arr.shape
-        if top + ih > sh or left + iw > sw:
-            raise ValueError("GIF frame rect outside logical screen")
-        saved = canvas.copy() if disposal == 3 else None
-        rgb = ct[np.clip(arr, 0, len(ct) - 1)]
-        region = canvas[top : top + ih, left : left + iw]
-        if transparent_idx is not None:
-            opaque = arr != transparent_idx
-            region[opaque] = rgb[opaque]
-        else:
-            region[:] = rgb
-        frames.append(canvas.copy())
-        delays.append(delay_cs)
-        if disposal == 2:      # restore rect to background (white)
-            canvas[top : top + ih, left : left + iw] = 255
-        elif disposal == 3 and saved is not None:  # restore previous
-            canvas = saved
-        # a GCE applies to the single following image only
-        transparent_idx = None
-        disposal = 0
-        delay_cs = 0
-    if not frames:
-        raise ValueError("GIF stream contains no image frames")
-    return frames, delays
-
-
-def gif_encode_anim(screen: tuple[int, int], frames: list[dict],
-                    loop: int = 0) -> bytes:
-    """Multi-frame GIF89a fixture encoder. ``screen`` is (width,
-    height); each frame dict has ``pixels`` (h, w, 3) uint8, and
-    optionally ``left``/``top`` (default 0), ``disposal`` (0-3,
-    default 0), ``delay_cs`` (default 4), ``interlace`` (default
-    False), and ``mask`` — a boolean (h, w) array marking TRANSPARENT
-    pixels. Every frame carries its own local color table (plus a
-    reserved transparent slot when masked); a NETSCAPE2.0 loop block
-    is always written."""
-    sw, sh = screen
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HHBBB", sw, sh, 0, 0, 0)  # no global table
-    out += b"\x21\xff\x0bNETSCAPE2.0\x03\x01" + struct.pack("<H", loop)
-    out += b"\x00"
-    for fr in frames:
-        px = fr["pixels"]
-        if px.ndim != 3 or px.shape[2] != 3 or px.dtype != np.uint8:
-            raise ValueError("expected (h, w, 3) uint8 frame")
-        h, w, _ = px.shape
-        left, top = int(fr.get("left", 0)), int(fr.get("top", 0))
-        mask = fr.get("mask")
-        flat = px.reshape(-1, 3)
-        colors, inverse = np.unique(flat, axis=0, return_inverse=True)
-        t_idx = None
-        if mask is not None:
-            t_idx = len(colors)   # reserved transparent slot
-            if t_idx > 255:
-                raise ValueError("no palette slot left for transparency")
-        n_used = len(colors) + (1 if t_idx is not None else 0)
-        if n_used > 256:
-            raise ValueError(f"needs <=256 palette slots, got {n_used}")
-        n = max(2, 1 << int(np.ceil(np.log2(n_used))))
-        palette = np.zeros((n, 3), np.uint8)
-        palette[: len(colors)] = colors
-        ct_bits = int(np.log2(n)) - 1
-        # graphics control extension
-        gc_packed = (int(fr.get("disposal", 0)) & 7) << 2
-        if t_idx is not None:
-            gc_packed |= 0x01
-        out += struct.pack("<BBBBHBB", 0x21, 0xF9, 4, gc_packed,
-                           int(fr.get("delay_cs", 4)),
-                           t_idx if t_idx is not None else 0, 0)
-        ipacked = 0x80 | (ct_bits & 7)
-        if fr.get("interlace"):
-            ipacked |= 0x40
-        out += struct.pack("<BHHHHB", 0x2C, left, top, w, h, ipacked)
-        out += palette.tobytes()
-        arr = inverse.reshape(h, w).astype(np.int64)
-        if t_idx is not None:
-            arr = np.where(np.asarray(mask, bool), t_idx, arr)
-        if fr.get("interlace"):
-            rows = []
-            for start, step in _INTERLACE_PASSES:
-                rows.extend(range(start, h, step))
-            arr = arr[rows]
-        min_code = max(2, int(np.ceil(np.log2(max(2, n_used)))))
-        out.append(min_code)
-        lzw = lzw_encode([int(x) for x in arr.reshape(-1)], min_code)
-        for i in range(0, len(lzw), 255):
-            chunk = lzw[i : i + 255]
-            out.append(len(chunk))
-            out += chunk
-        out.append(0)
     out.append(0x3B)
     return bytes(out)

@@ -186,7 +186,7 @@ def verify_admission_invariants(output_dir: str, cfg: CrawlConfig | None = None)
     ctx = ProcessContext(cfg or CrawlConfig())
     ds = load_unified(output_dir, columns=["kind", "url", "host"])
 
-    def check(df: pd.DataFrame) -> pd.DataFrame:
+    def check(df: pd.DataFrame) -> pa.Table:
         df = df[df["kind"] == "page"]
         bad = []
         for url, host in zip(df["url"], df["host"]):
@@ -195,7 +195,9 @@ def verify_admission_invariants(output_dir: str, cfg: CrawlConfig | None = None)
                 bad.append({"url": url, "violation": "not_canonical"})
             elif host and not ctx.policy.admit(u, host):
                 bad.append({"url": url, "violation": "inadmissible"})
-        return pd.DataFrame(bad, columns=["url", "violation"])
+        # typed columns: Ray cannot size an empty object column
+        return pa.Table.from_pylist(bad, schema=pa.schema(
+            [("url", pa.string()), ("violation", pa.string())]))
 
     return to_frame(ds.map_batches(check, batch_format="pandas"))
 

@@ -163,8 +163,15 @@ def build_text_trainset(
         n_contaminated = pre - n_holdout - gated.count()
 
     # --- 2. exact dedup: one shuffle on the content hash ---
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("doc_id").head(1)
+    def keep_min(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
+        out = g.sort_values("doc_id").head(1)
+        if len(out):
+            return out
+        # zero rows: typed columns, since Ray cannot size an empty
+        # object column
+        return pa.table({c: pa.array(out[c], pa.string()
+                                     if out[c].dtype == object else None)
+                         for c in out.columns})
 
     # consumed twice below (edge gen + final filter)
     survivors = materialize(gated.groupby("text_hash").map_groups(

@@ -1,19 +1,14 @@
-"""Multimodal actor-pool stages: image resize / audio features /
-video frame-sampling over opaque ``binary`` columns with typed
-metadata.
+"""Media helpers for the crawl corpus and the EXIF actor stage.
 
-The image path is fully real (every imaging/ codec), and audio now
-decodes REAL **WAV** (RIFF PCM 8/16-bit, G.711 A-law/mu-law,
-IMA ADPCM — mono/stereo downmixed), **FLAC** (pure-Python, MD5
-verified) natively — the remaining compressed audio formats
-(mp3/ogg/aac) and real video codecs need ffmpeg, which is NOT in
-this container, so those decode steps stay stubbed behind
-``CodecUnavailable`` exactly like imaging/codec.py's
-VP8-interframe path. A documented deterministic fake
-container format ("QAUD"/"QVID": raw samples / concatenated qimg
-frames) additionally keeps the Ray-side plumbing — schemas, actor
-signatures, batch sizing for wide binary rows, output layout — real
-and tested end-to-end.
+- ``encode_wav`` writes RIFF/WAVE PCM-16, the corpus generator's
+  ``clip.wav`` fixture; the crawl probes it through
+  ``functions/mediaprobe``.
+- ``ExifExtractor`` is the actor-pool stage behind the CLI's ``exif``
+  verb: EXIF signal columns plus an optional GPS scrub.
+
+The reference stores audio and video without decoding them
+(``handle_content_type``, playwrightcrawler.py:2741-2843), so no
+sample or frame decoder lives here.
 
 Wide-row guidance (SURVEY.md §7.4 item 4): binary payload rows are MBs
 — keep ``batch_size`` small (≤32), ``batch_format="pyarrow"``
@@ -23,22 +18,9 @@ Wide-row guidance (SURVEY.md §7.4 item 4): binary payload rows are MBs
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 import pyarrow as pa
-
-from ..imaging.codec import CodecUnavailable, decode_image, encode_image
-
-_QAUD_MAGIC = b"QAU1"  # int16 mono samples: magic + rate(u32) + zlib(payload)
-_QVID_MAGIC = b"QVI1"  # magic + n_frames(u32) + [len(u32) + qimg bytes]*
-
-
-def encode_audio(samples: np.ndarray, rate: int = 16_000) -> bytes:
-    """Deterministic fake audio container (int16 mono)."""
-    if samples.dtype != np.int16 or samples.ndim != 1:
-        raise ValueError("expected 1-D int16 samples")
-    return _QAUD_MAGIC + struct.pack(">I", rate) + zlib.compress(samples.tobytes(), 6)
 
 
 def encode_wav(samples: np.ndarray, rate: int = 16_000) -> bytes:
@@ -52,269 +34,6 @@ def encode_wav(samples: np.ndarray, rate: int = 16_000) -> bytes:
             + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(payload)) + payload)
     return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def _wav_container(fmt_chunk: bytes, payload: bytes,
-                   extra: bytes = b"") -> bytes:
-    body = (b"WAVE"
-            + b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
-            + extra
-            + b"data" + struct.pack("<I", len(payload)) + payload)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
-
-
-def encode_wav_g711(samples: np.ndarray, rate: int = 8_000,
-                    law: str = "ulaw") -> bytes:
-    """Real G.711 WAV (format tag 7 mu-law / 6 A-law, 8-bit mono)."""
-    from ..functions.pcmcodecs import alaw_encode, ulaw_encode
-
-    if samples.dtype != np.int16 or samples.ndim != 1:
-        raise ValueError("expected 1-D int16 samples")
-    tag, enc = (6, alaw_encode) if law == "alaw" else (7, ulaw_encode)
-    payload = enc(samples).tobytes()
-    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate, 1, 8)
-    return _wav_container(fmt, payload)
-
-
-def encode_wav_adpcm(samples: np.ndarray, rate: int = 8_000,
-                     block_align: int = 256) -> bytes:
-    """Real IMA ADPCM WAV (format tag 0x11, mono) with the spec's
-    cbSize/samplesPerBlock fmt extension and a fact chunk."""
-    from ..functions.pcmcodecs import ima_adpcm_encode
-
-    if samples.dtype != np.int16 or samples.ndim != 1:
-        raise ValueError("expected 1-D int16 samples")
-    payload = ima_adpcm_encode(samples, block_align)
-    spb = (block_align - 4) * 2 + 1
-    fmt = struct.pack("<HHIIHHHH", 0x11, 1, rate,
-                      rate * block_align // spb, block_align, 4, 2, spb)
-    n_blocks = len(payload) // block_align
-    fact = b"fact" + struct.pack("<II", 4, n_blocks * spb)
-    return _wav_container(fmt, payload, extra=fact)
-
-
-def _decode_wav(data: bytes) -> tuple[np.ndarray, int]:
-    """RIFF/WAVE PCM parser: 8-bit unsigned or 16-bit signed, any
-    channel count (downmixed to mono by mean, the librosa default)."""
-    pos = 12
-    fmt = None
-    payload = None
-    while pos + 8 <= len(data):
-        tag = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        chunk = data[pos + 8 : pos + 8 + size]
-        if tag == b"fmt ":
-            fmt = struct.unpack_from("<HHIIHH", chunk, 0)
-        elif tag == b"data":
-            payload = chunk
-        pos += 8 + size + (size & 1)
-    if fmt is None or payload is None:
-        raise ValueError("malformed WAV: missing fmt/data chunk")
-    audio_fmt, nch, rate, _br, block_align, bits = fmt
-    if audio_fmt in (6, 7):
-        # REAL companded audio (round 5): ITU-T G.711 A-law / mu-law
-        from ..functions.pcmcodecs import alaw_decode, ulaw_decode
-
-        if bits != 8:
-            raise ValueError(f"{bits}-bit G.711 WAV")
-        dec = alaw_decode if audio_fmt == 6 else ulaw_decode
-        s = dec(np.frombuffer(payload, dtype=np.uint8))
-    elif audio_fmt == 0x11:
-        # REAL compressed audio (round 5): IMA/DVI ADPCM (4 bits/sample)
-        from ..functions.pcmcodecs import ima_adpcm_decode_wav
-
-        s = ima_adpcm_decode_wav(payload, block_align, nch)
-    elif audio_fmt != 1:
-        # remaining non-PCM tags (mp3-in-WAV 0x55, WMA...) need ffmpeg
-        raise CodecUnavailable(f"non-PCM WAV (format {audio_fmt})")
-    elif bits == 16:
-        s = np.frombuffer(payload, dtype="<i2")
-    elif bits == 8:
-        s = (np.frombuffer(payload, dtype=np.uint8).astype(np.int16)
-             - 128) << 8
-    else:
-        raise CodecUnavailable(f"{bits}-bit WAV")
-    if nch > 1:
-        s = s[: len(s) - len(s) % nch].reshape(-1, nch).mean(
-            axis=1).astype(np.int16)
-    return s, rate
-
-
-def decode_audio(data: bytes) -> tuple[np.ndarray, int]:
-    if data[:4] == b"RIFF" and data[8:12] == b"WAVE":
-        return _decode_wav(data)
-    if data[:4] == b"fLaC":
-        # REAL compressed-audio decode (round 5): pure-Python FLAC,
-        # verified against the stream's own STREAMINFO MD5
-        from ..functions.flac import FlacError, flac_decode
-
-        try:
-            samples, rate = flac_decode(bytes(data))
-        except FlacError as e:
-            raise OSError(f"corrupt FLAC: {e}") from None
-        return samples.astype(np.int64), rate
-    if not data.startswith(_QAUD_MAGIC):
-        # compressed lossy audio (mp3/ogg/aac) → needs ffmpeg
-        raise CodecUnavailable("no compressed-audio decoder in this container")
-    (rate,) = struct.unpack_from(">I", data, 4)
-    return np.frombuffer(zlib.decompress(data[8:]), dtype=np.int16), rate
-
-
-def encode_video(frames: list[np.ndarray]) -> bytes:
-    parts = [_QVID_MAGIC, struct.pack(">I", len(frames))]
-    for f in frames:
-        payload = encode_image(f, "qimg")
-        parts.append(struct.pack(">I", len(payload)))
-        parts.append(payload)
-    return b"".join(parts)
-
-
-def encode_avi_mjpeg(frames: list[np.ndarray], fps: int = 10) -> bytes:
-    """Real RIFF/AVI container with MJPEG ('00dc') frames — each frame
-    a baseline JPEG through the pure-Python encoder."""
-    from ..imaging.jpeg import jpeg_encode
-
-    if not frames:
-        raise ValueError("no frames")
-    h, w = frames[0].shape[:2]
-    payloads = [jpeg_encode(f, quality=90) for f in frames]
-
-    def chunk(tag: bytes, body: bytes) -> bytes:
-        return tag + struct.pack("<I", len(body)) + body + (
-            b"\x00" if len(body) & 1 else b""
-        )
-
-    def lst(subtype: bytes, body: bytes) -> bytes:
-        return chunk(b"LIST", subtype + body)
-
-    avih = struct.pack(
-        "<IIIIIIIIIIIIII", 1_000_000 // fps, 0, 0, 0x10, len(frames), 0,
-        1, 0, w, h, 0, 0, 0, 0,
-    )
-    strh = struct.pack(
-        "<4s4sIHHIIIIIIIIhhhh", b"vids", b"MJPG", 0, 0, 0, 0, 1, fps, 0,
-        len(frames), 0, 0xFFFFFFFF, 0, 0, 0, int(w), int(h),
-    )
-    strf = struct.pack("<IiiHH4sIiiII", 40, w, h, 1, 24, b"MJPG",
-                       w * h * 3, 0, 0, 0, 0)
-    hdrl = lst(b"hdrl", chunk(b"avih", avih)
-               + lst(b"strl", chunk(b"strh", strh) + chunk(b"strf", strf)))
-    movi = lst(b"movi", b"".join(chunk(b"00dc", p) for p in payloads))
-    return chunk(b"RIFF", b"AVI " + hdrl + movi)
-
-
-def _decode_mjpeg_avi(data: bytes, sample_every: int) -> list[np.ndarray]:
-    """RIFF/AVI walk: every '..dc'/'..db' chunk under LIST/movi is a
-    frame; MJPEG (JPEG SOI payload) decodes via the real JPEG decoder,
-    any other fourcc needs ffmpeg → CodecUnavailable."""
-    frames: list[np.ndarray] = []
-    idx = 0
-
-    def walk(pos: int, end: int, depth: int = 0) -> None:
-        nonlocal idx
-        if depth > 16:
-            raise ValueError("malformed AVI: LIST nesting too deep")
-        while pos + 8 <= end:
-            tag = data[pos : pos + 4]
-            (size,) = struct.unpack_from("<I", data, pos + 4)
-            if tag == b"LIST":
-                walk(pos + 12, min(end, pos + 8 + size), depth + 1)
-            elif tag[2:4] in (b"dc", b"db") and size:
-                payload = data[pos + 8 : pos + 8 + size]
-                if payload[:2] != b"\xff\xd8":
-                    raise CodecUnavailable(
-                        "non-MJPEG AVI stream: needs ffmpeg"
-                    )
-                if idx % sample_every == 0:
-                    frames.append(decode_image(payload)[0])
-                idx += 1
-            pos += 8 + size + (size & 1)
-
-    walk(12, len(data))
-    if idx == 0:
-        raise ValueError("no video frames in AVI")
-    return frames
-
-
-def decode_video_frames(data: bytes, sample_every: int = 1) -> list[np.ndarray]:
-    if data[:4] == b"RIFF" and data[8:12] == b"AVI ":
-        return _decode_mjpeg_avi(data, sample_every)
-    if data[:6] in (b"GIF87a", b"GIF89a"):
-        # REAL animated-GIF frame sampling (round 5): full GIF89a
-        # compositing — rects, transparency, all disposal methods
-        from ..imaging.gif import gif_decode_frames
-
-        frames, _delays = gif_decode_frames(data)
-        return frames[::sample_every]
-    if data[:4] == b"RIFF" and data[8:12] == b"WEBP":
-        # REAL animated-WebP frame sampling (round 5): VP8X/ANIM/ANMF
-        # walk, per-frame VP8L/VP8 decode, blend + dispose compositing
-        from ..imaging.webp import webp_decode_frames
-
-        frames, _durs = webp_decode_frames(data)
-        return frames[::sample_every]
-    if not data.startswith(_QVID_MAGIC):
-        # mp4/webm/mkv: real containers whose codecs need ffmpeg
-        raise CodecUnavailable("no video decoder for this container")
-    (n,) = struct.unpack_from(">I", data, 4)
-    pos = 8
-    out = []
-    for i in range(n):
-        (ln,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        if i % sample_every == 0:
-            out.append(decode_image(data[pos : pos + ln])[0])
-        pos += ln
-    return out
-
-
-class ImageResizer:
-    """Actor-pool stage: decode → block-mean resize to ``target`` px →
-    re-encode; appends resized bytes + dims. Real for png/qimg."""
-
-    def __init__(self, target: int = 32, out_fmt: str = "png"):
-        self.target = target
-        self.out_fmt = out_fmt
-
-    def _resize(self, px: np.ndarray) -> np.ndarray:
-        h, w = px.shape[:2]
-        t = self.target
-        ri = (np.arange(h) * t) // h
-        ci = (np.arange(w) * t) // w
-        sums = np.zeros((t, t, 3), np.float64)
-        cnt = np.zeros((t, t, 1), np.float64)
-        np.add.at(sums, (ri[:, None], ci[None, :]), px.astype(np.float64))
-        np.add.at(cnt, (ri[:, None], ci[None, :]), 1.0)
-        return (sums / np.maximum(cnt, 1)).astype(np.uint8)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..imaging.exif import decode_image_oriented
-
-        out_bytes, out_w, out_h, err = [], [], [], []
-        for b in batch.column("bytes").to_pylist():
-            try:
-                # EXIF-orientation-normalized decode: identity for
-                # untagged images (the whole synthetic corpus), the
-                # upright pixels for phone photos — so every
-                # downstream hash/embedding sees the viewed image
-                px, _, _ = decode_image_oriented(b)
-                rs = self._resize(px)
-                out_bytes.append(encode_image(rs, self.out_fmt))
-                out_h.append(rs.shape[0])
-                out_w.append(rs.shape[1])
-                err.append(None)
-            except CodecUnavailable as e:
-                out_bytes.append(None); out_w.append(None); out_h.append(None)
-                err.append(f"codec_unavailable: {e}")
-            except Exception as e:
-                out_bytes.append(None); out_w.append(None); out_h.append(None)
-                err.append(str(e))
-        return (
-            batch.append_column("resized_bytes", pa.array(out_bytes, pa.binary()))
-            .append_column("resized_w", pa.array(out_w, pa.int32()))
-            .append_column("resized_h", pa.array(out_h, pa.int32()))
-            .append_column("resize_error", pa.array(err, pa.string()))
-        )
 
 
 class ExifExtractor:
@@ -362,119 +81,3 @@ class ExifExtractor:
             out = out.append_column("scrubbed_bytes",
                                     pa.array(scrubbed, pa.binary()))
         return out
-
-
-class AudioFeaturizer:
-    """Actor-pool stage over an ``audio_bytes`` column: duration, RMS
-    energy, zero-crossing rate (the cheap librosa-style features)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dur, rms, zcr, err = [], [], [], []
-        for b in batch.column("audio_bytes").to_pylist():
-            try:
-                samples, rate = decode_audio(b)
-                x = samples.astype(np.float64) / 32768.0
-                dur.append(len(samples) / rate)
-                rms.append(float(np.sqrt(np.mean(x**2))) if len(x) else 0.0)
-                zcr.append(
-                    float(np.mean(np.abs(np.diff(np.signbit(x))))) if len(x) > 1 else 0.0
-                )
-                err.append(None)
-            except CodecUnavailable as e:
-                dur.append(None); rms.append(None); zcr.append(None)
-                err.append(f"codec_unavailable: {e}")
-            except Exception as e:
-                # malformed RIFF payloads surface struct.error / ValueError
-                # etc.; a bad crawl row must become an error row, not a
-                # crashed Ray task
-                dur.append(None); rms.append(None); zcr.append(None)
-                err.append(str(e))
-        return (
-            batch.append_column("duration_sec", pa.array(dur, pa.float64()))
-            .append_column("rms", pa.array(rms, pa.float64()))
-            .append_column("zcr", pa.array(zcr, pa.float64()))
-            .append_column("audio_error", pa.array(err, pa.string()))
-        )
-
-
-class VideoFrameSampler:
-    """Actor-pool stage over a ``video_bytes`` column: sample every
-    k-th frame, emit per-frame phash list + frame count."""
-
-    def __init__(self, sample_every: int = 2):
-        from ..imaging.codec import dhash64
-
-        self.sample_every = sample_every
-        self._dhash = dhash64
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        counts, hashes, err = [], [], []
-        for b in batch.column("video_bytes").to_pylist():
-            try:
-                frames = decode_video_frames(b, self.sample_every)
-                counts.append(len(frames))
-                hashes.append([int(self._dhash(f)) for f in frames])
-                err.append(None)
-            except CodecUnavailable as e:
-                counts.append(None); hashes.append(None)
-                err.append(f"codec_unavailable: {e}")
-            except Exception as e:
-                counts.append(None); hashes.append(None)
-                err.append(str(e))
-        return (
-            batch.append_column("sampled_frames", pa.array(counts, pa.int32()))
-            .append_column("frame_phashes", pa.array(hashes, pa.list_(pa.int64())))
-            .append_column("video_error", pa.array(err, pa.string()))
-        )
-
-
-class MediaProber:
-    """Actor-pool stage over a ``media_bytes`` column: header-level
-    container/codec metadata WITHOUT decoding (functions/mediaprobe.py
-    — MP3 frame walk, MP4 box walk, WebM EBML, Ogg Vorbis/Opus).
-
-    This is what a curation pipeline filters compressed media on at
-    scale — duration, rate, channels, codec, frame size — and it is
-    fully real even for the formats whose sample/pixel decode is a
-    typed ``CodecUnavailable`` stub (ffmpeg-less container)."""
-
-    def __init__(self):
-        from ..functions.mediaprobe import probe_media  # once per actor
-
-        self._probe = probe_media
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        container, codec, dur, rate, ch, w, h, ntr, err = (
-            [], [], [], [], [], [], [], [], [])
-        for b in batch.column("media_bytes").to_pylist():
-            try:
-                info = self._probe(b)
-            except ValueError as e:
-                container.append(None); codec.append(None)
-                dur.append(None); rate.append(None); ch.append(None)
-                w.append(None); h.append(None); ntr.append(None)
-                err.append(str(e))
-                continue
-            tracks = info.get("tracks") or []
-            vid = next((t for t in tracks if t.get("kind") == "video"), {})
-            container.append(info.get("container"))
-            codec.append(info.get("codec")
-                         or vid.get("codec_id") or vid.get("fourcc"))
-            dur.append(info.get("duration_sec"))
-            rate.append(info.get("sample_rate"))
-            ch.append(info.get("channels"))
-            w.append(vid.get("w"))
-            h.append(vid.get("h"))
-            ntr.append(len(tracks) if tracks else None)
-            err.append(None)
-        return (
-            batch.append_column("media_container", pa.array(container, pa.string()))
-            .append_column("media_codec", pa.array(codec, pa.string()))
-            .append_column("media_duration_sec", pa.array(dur, pa.float64()))
-            .append_column("media_sample_rate", pa.array(rate, pa.int32()))
-            .append_column("media_channels", pa.array(ch, pa.int32()))
-            .append_column("media_width", pa.array(w, pa.int32()))
-            .append_column("media_height", pa.array(h, pa.int32()))
-            .append_column("media_tracks", pa.array(ntr, pa.int32()))
-            .append_column("probe_error", pa.array(err, pa.string()))
-        )

@@ -70,9 +70,8 @@ def _media_handler(url, body, content_type, ctx) -> dict:
     (functions/mediaprobe) — duration, codec, rate/channels or
     dimensions — summarized into ``min_webcontent`` the same way the
     plugin recipe does (reference audio/video handlers store the file
-    and record the doc, playwrightcrawler.py:2741-2843; sample/pixel
-    decode for compressed formats stays a typed stub in the
-    multimodal stages)."""
+    and record the doc, playwrightcrawler.py:2741-2843; neither
+    decodes samples or pixels)."""
     from ..functions.mediaprobe import probe_media
 
     try:

@@ -7,7 +7,7 @@ against /root/reference/playwrightcrawler.py.
 """
 
 from .canonicalize import canonicalize_url
-from .ids import url_id, url_sha256
+from .ids import url_id
 from .filters import (
     is_embedded_url,
     has_repeated_segments,
@@ -25,7 +25,6 @@ from .classify import classify_link, extract_email
 __all__ = [
     "canonicalize_url",
     "url_id",
-    "url_sha256",
     "is_embedded_url",
     "has_repeated_segments",
     "UrlPolicy",

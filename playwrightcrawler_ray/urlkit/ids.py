@@ -1,11 +1,10 @@
 """Stable URL identifiers.
 
 The north rule keys every URL-seen structure on canonicalized + SHA1'd
-URLs, so ``url_id`` is SHA1. The reference instead uses
-``sha256(url)`` as its Elasticsearch ``_id``
-(playwrightcrawler.py:1431-1456); ``url_sha256`` is kept for parity
-checks and for the exact-dedup oracle queries. Both are hex digests of
-the UTF-8 bytes of the (already canonicalized) URL.
+URLs, so ``url_id`` is SHA1, the hex digest of the UTF-8 bytes of the
+(already canonicalized) URL. The reference uses ``sha256(url)`` as its
+Elasticsearch ``_id`` (playwrightcrawler.py:1431-1456); nothing here
+needs that id.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ import hashlib
 def url_id(url: str) -> str:
     """SHA1 hex id of a canonicalized URL (frontier/seen-set key)."""
     return hashlib.sha1(url.encode("utf-8", errors="surrogatepass")).hexdigest()
-
-
-def url_sha256(url: str) -> str:
-    """SHA256 hex id — reference-parity document id
-    (playwrightcrawler.py:1456)."""
-    return hashlib.sha256(url.encode("utf-8", errors="surrogatepass")).hexdigest()
 
 
 def url_id_64(url: str) -> int:

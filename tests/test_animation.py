@@ -1,112 +1,25 @@
-"""Animated GIF (GIF89a compositing) and animated WebP (VP8X/ANIM/
-ANMF) frame decoding: lossless round trips are compared against an
-INDEPENDENT straight-line compositing reference computed here from
-the same frame specs — rects, transparency holes, all GIF disposal
-methods, WebP blend/dispose flags — plus the video-stage wiring."""
+"""Animated WebP (VP8X/ANIM/ANMF) frame decoding: lossless round
+trips are compared against an INDEPENDENT straight-line compositing
+reference computed here from the same frame specs — rects, WebP
+blend/dispose flags — plus the still-image path's first-frame
+snapshot."""
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
-from playwrightcrawler_ray.imaging.gif import (
-    gif_decode,
-    gif_decode_frames,
-    gif_encode_anim,
-)
 from playwrightcrawler_ray.imaging.webp import (
     webp_decode_frames,
-    webp_encode_anim,
     vp8l_encode,
 )
+
+from _webp_writer import webp_encode_anim
 
 
 def _rng():
     return np.random.default_rng(1234)
 
-
-# ------------------------------------------------------------------ GIF
-
-def _gif_reference(screen, frames):
-    """Straight-line GIF89a compositing model: white canvas, draw
-    opaque pixels of each rect, snapshot, then dispose."""
-    sw, sh = screen
-    canvas = np.full((sh, sw, 3), 255, np.uint8)
-    out = []
-    for fr in frames:
-        px = fr["pixels"]
-        h, w = px.shape[:2]
-        left, top = fr.get("left", 0), fr.get("top", 0)
-        mask = fr.get("mask")
-        saved = canvas.copy()
-        for y in range(h):
-            for x in range(w):
-                if mask is None or not mask[y, x]:
-                    canvas[top + y, left + x] = px[y, x]
-        out.append(canvas.copy())
-        d = fr.get("disposal", 0)
-        if d == 2:
-            canvas[top : top + h, left : left + w] = 255
-        elif d == 3:
-            canvas = saved
-    return out
-
-
-def _quantized(rng, h, w, levels=5):
-    return (rng.integers(0, levels, (h, w, 3)) * 51).astype(np.uint8)
-
-
-def test_gif_animation_all_disposals_and_transparency():
-    rng = _rng()
-    base = _quantized(rng, 14, 18)
-    patch = _quantized(rng, 6, 7)
-    mask = rng.integers(0, 2, (6, 7)).astype(bool)
-    frames = [
-        {"pixels": base, "disposal": 1, "delay_cs": 10},
-        {"pixels": patch, "left": 5, "top": 4, "disposal": 2,
-         "mask": mask, "delay_cs": 20},
-        {"pixels": patch, "left": 2, "top": 1, "disposal": 3},
-        {"pixels": patch, "left": 11, "top": 8, "disposal": 0},
-        {"pixels": patch, "left": 0, "top": 0, "interlace": True},
-    ]
-    data = gif_encode_anim((18, 14), frames, loop=3)
-    got, delays = gif_decode_frames(data)
-    want = _gif_reference((18, 14), frames)
-    assert len(got) == 5
-    assert delays == [10, 20, 4, 4, 4]
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-    # the still-image path keeps returning the FIRST frame
-    assert np.array_equal(gif_decode(data), want[0])
-
-
-def test_gif_restore_previous_actually_restores():
-    base = np.full((8, 8, 3), 10, np.uint8)
-    flash = np.full((8, 8, 3), 250, np.uint8)
-    dot = np.full((2, 2, 3), 120, np.uint8)
-    data = gif_encode_anim((8, 8), [
-        {"pixels": base, "disposal": 1},
-        {"pixels": flash, "disposal": 3},   # must vanish afterwards
-        {"pixels": dot, "left": 3, "top": 3},
-    ])
-    got, _ = gif_decode_frames(data)
-    assert np.array_equal(got[1], flash)
-    expect = base.copy()
-    expect[3:5, 3:5] = 120
-    assert np.array_equal(got[2], expect)
-
-
-def test_gif_frames_single_image_and_max_frames():
-    img = np.full((5, 6, 3), 77, np.uint8)
-    data = gif_encode_anim((6, 5), [{"pixels": img}] * 4)
-    frames, _ = gif_decode_frames(data, max_frames=2)
-    assert len(frames) == 2
-    with pytest.raises(ValueError):
-        gif_decode_frames(b"GIF89a" + b"\x00" * 7 + b"\x3b")
-
-
-# ----------------------------------------------------------------- WebP
 
 def test_webp_animation_overwrite_and_dispose_background():
     rng = _rng()
@@ -182,31 +95,6 @@ def test_webp_non_animated_fallback_and_bad_rect():
     ])
     with pytest.raises(ValueError):
         webp_decode_frames(bad)
-
-
-# ---------------------------------------------------------------- stage
-
-def test_video_frame_sampler_handles_animations(ray_session):
-    from playwrightcrawler_ray.stages.multimodal import VideoFrameSampler
-
-    rng = _rng()
-    g = gif_encode_anim((8, 8), [
-        {"pixels": _quantized(rng, 8, 8)} for _ in range(5)
-    ])
-    w = webp_encode_anim((8, 8), [
-        {"pixels": rng.integers(0, 256, (8, 8, 3), dtype=np.uint8),
-         "blend": False} for _ in range(5)
-    ])
-    batch = pa.table({"video_bytes": pa.array([g, w, b"\x00bad"],
-                                              pa.binary())})
-    out = VideoFrameSampler(sample_every=2)(batch)
-    counts = out.column("sampled_frames").to_pylist()
-    assert counts[0] == 3 and counts[1] == 3   # ceil(5/2)
-    assert counts[2] is None
-    errs = out.column("video_error").to_pylist()
-    assert errs[0] is None and errs[1] is None and errs[2]
-    phashes = out.column("frame_phashes").to_pylist()
-    assert len(phashes[0]) == 3 and len(phashes[1]) == 3
 
 
 def test_anmf_without_vp8x_rejected_not_recursed():

@@ -20,8 +20,10 @@ import pytest
 
 from playwrightcrawler_ray.config import CrawlConfig
 from playwrightcrawler_ray.corpus import build_corpus
-from playwrightcrawler_ray.imaging import decode_image, psnr
+from playwrightcrawler_ray.imaging import decode_image
 from playwrightcrawler_ray.pipelines.oracle import run_oracle
+
+from _image_metrics import psnr
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
-"""EXIF parse / build / attach / strip / orientation normalization
-(imaging/exif.py): round-trip both endiannesses, per-container
-attach→parse→strip cycles with bit-identical pixels, and the 8
-orientation transforms against hand-written ground-truth matrices
+"""EXIF parse / strip / orientation normalization (imaging/exif.py),
+with payloads from the test-side writer (_exif_writer): round-trip
+both endiannesses, per-container attach→parse→strip cycles with
+bit-identical pixels, and the 8 orientation transforms against hand-written ground-truth matrices
 (the chirality of tags 6/8 is the classic bug — pinned literally)."""
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import pytest
 
 from playwrightcrawler_ray.imaging.codec import decode_image, encode_image
 from playwrightcrawler_ray.imaging.exif import (
-    attach_exif,
-    build_exif,
     decode_image_oriented,
     exif_parse,
     exif_strip,
@@ -20,6 +18,8 @@ from playwrightcrawler_ray.imaging.exif import (
     orient_pixels,
     parse_exif_tiff,
 )
+
+from _exif_writer import attach_exif, build_exif
 
 TAGS = dict(orientation=6, make="GraftCam", model="GC-100 Pro",
             datetime="2026:08:18 12:34:56",
@@ -83,10 +83,9 @@ def test_attach_parse_strip_cycle(fmt):
 def test_attach_parse_strip_webp_vp8x():
     """WebP EXIF rides beside VP8X: attach sets the EXIF flag bit,
     strip clears it, and the animation still decodes identically."""
-    from playwrightcrawler_ray.imaging.webp import (
-        webp_decode_frames,
-        webp_encode_anim,
-    )
+    from playwrightcrawler_ray.imaging.webp import webp_decode_frames
+
+    from _webp_writer import webp_encode_anim
 
     px = _test_image(8, 8)
     data = webp_encode_anim((8, 8), [{"pixels": px}])
@@ -213,31 +212,6 @@ def test_exif_extractor_stage(ray_session):
     np.testing.assert_array_equal(decode_image(bytes(sb))[0],
                                   decode_image(clean)[0])
     assert bytes(out["scrubbed_bytes"][0]) == clean
-
-
-def test_image_resizer_folds_orientation(ray_session):
-    """The resize stage hashes/embeds the VIEWED image: a sideways-
-    stored (tag 6) copy of an image resizes to the same thumbnail as
-    the upright original."""
-    import pyarrow as pa
-    import ray.data
-
-    from playwrightcrawler_ray.stages.multimodal import ImageResizer
-
-    v = _test_image(32, 48)
-    upright = encode_image(v, "png")
-    sideways = attach_exif(
-        encode_image(np.ascontiguousarray(np.rot90(v, 1)), "png"),
-        build_exif(orientation=6))
-    tbl = pa.table({"bytes": pa.array([upright, sideways], pa.binary())})
-    out = (
-        ray.data.from_arrow(tbl)
-        .map_batches(ImageResizer, batch_format="pyarrow",
-                     concurrency=1, fn_constructor_kwargs={"target": 8})
-        .to_pandas()
-    )
-    assert out["resize_error"].isna().all()
-    assert bytes(out["resized_bytes"][0]) == bytes(out["resized_bytes"][1])
 
 
 def test_export_media_scrub_exif(ray_session, tmp_path):

@@ -14,10 +14,14 @@ from playwrightcrawler_ray.imaging import (
     dhash64,
     encode_image,
     pixel_hash,
-    psnr,
 )
-from playwrightcrawler_ray.imaging.codec import hamming64
 from playwrightcrawler_ray.imaging.png import png_decode, png_encode
+
+from _image_metrics import psnr
+
+
+def hamming64(a: int, b: int) -> int:
+    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
 def _pixels(seed: int, h: int = 48, w: int = 64) -> np.ndarray:
@@ -225,7 +229,7 @@ def test_jpeg_odd_dimensions_and_gray():
 def test_jpeg_through_facade_and_hashes():
     from playwrightcrawler_ray.corpus.generate import _make_pixels
     from playwrightcrawler_ray.imaging.codec import (
-        decode_image, dhash64, encode_image, hamming64,
+        decode_image, dhash64, encode_image,
     )
 
     rng = np.random.default_rng(11)
@@ -905,7 +909,6 @@ def test_jpeg_hierarchical_lossy_psnr():
     """Without the correction frame the pyramid is a plain lossy
     coder: PSNR stays high and each added level refines (the base
     frame alone would be a blurry quarter-res image)."""
-    from playwrightcrawler_ray.imaging import psnr
     from playwrightcrawler_ray.imaging.jpeg import (
         jpeg_decode, jpeg_encode_hierarchical,
     )

@@ -474,7 +474,7 @@ def test_fuzz_interpreter_valueish_programs():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from playwrightcrawler_ray.functions.jsinterp import JsThrow, run_script
+    from playwrightcrawler_ray.functions.jsinterp import JsThrow
 
     exprs = st.recursive(
         st.sampled_from(["1", "'s'", "x", "true", "null", "[1,2]",
@@ -490,8 +490,8 @@ def test_fuzz_interpreter_valueish_programs():
     @given(stmts)
     def run_case(src):
         try:
-            run_script(src)
-        except (JsError, JsThrow):
+            Interp(std_globals()).run(src)
+        except (JsError, JsThrow, RecursionError):
             pass
 
     run_case()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
 from playwrightcrawler_ray.functions.mediaprobe import (
@@ -166,37 +165,6 @@ def test_ogg_opus_preskip():
     assert info["duration_sec"] == pytest.approx(1.0)
 
 
-# ------------------------------------------------------------- stage
-
-def test_media_prober_stage(ray_session):
-    import ray.data
-
-    from playwrightcrawler_ray.stages.multimodal import MediaProber
-
-    rows = [
-        _mp3_frame_128_44100_js() * 5,
-        _mp4_fixture(),
-        _webm_fixture(),
-        b"garbage that is not media at all....",
-    ]
-    tbl = pa.table({"media_bytes": pa.array(rows, pa.binary())})
-    out = (
-        ray.data.from_arrow(tbl)
-        .map_batches(MediaProber, batch_format="pyarrow", batch_size=2,
-                     concurrency=2)
-        .to_pandas()
-    )
-    assert list(out["media_container"].fillna("-")) == \
-        ["mp3", "mp4", "webm", "-"]
-    mp3 = out.iloc[0]
-    assert mp3["media_sample_rate"] == 44100
-    assert mp3["media_duration_sec"] == pytest.approx(5 * 1152 / 44100,
-                                                      abs=1e-5)
-    mp4 = out.iloc[1]
-    assert (mp4["media_width"], mp4["media_height"]) == (320, 240)
-    assert out.iloc[3]["probe_error"] is not None
-
-
 def test_probe_media_router():
     assert probe_media(_mp4_fixture())["container"] == "mp4"
     assert probe_media(_webm_fixture())["container"] == "webm"
@@ -217,11 +185,41 @@ def test_wav_header_probe():
                     "sample_rate": 16000, "duration_sec": 1.0}
 
 
-def test_avi_header_probe():
-    from playwrightcrawler_ray.stages.multimodal import encode_avi_mjpeg
+def _avi_mjpeg(frames: list[np.ndarray], fps: int = 10) -> bytes:
+    """RIFF/AVI container with MJPEG ('00dc') frames — each frame a
+    baseline JPEG through the pure-Python encoder."""
+    from playwrightcrawler_ray.imaging.jpeg import jpeg_encode
 
+    h, w = frames[0].shape[:2]
+
+    def chunk(tag: bytes, body: bytes) -> bytes:
+        return tag + struct.pack("<I", len(body)) + body + (
+            b"\x00" if len(body) & 1 else b""
+        )
+
+    def lst(subtype: bytes, body: bytes) -> bytes:
+        return chunk(b"LIST", subtype + body)
+
+    avih = struct.pack(
+        "<IIIIIIIIIIIIII", 1_000_000 // fps, 0, 0, 0x10, len(frames), 0,
+        1, 0, w, h, 0, 0, 0, 0,
+    )
+    strh = struct.pack(
+        "<4s4sIHHIIIIIIIIhhhh", b"vids", b"MJPG", 0, 0, 0, 0, 1, fps, 0,
+        len(frames), 0, 0xFFFFFFFF, 0, 0, 0, int(w), int(h),
+    )
+    strf = struct.pack("<IiiHH4sIiiII", 40, w, h, 1, 24, b"MJPG",
+                       w * h * 3, 0, 0, 0, 0)
+    hdrl = lst(b"hdrl", chunk(b"avih", avih)
+               + lst(b"strl", chunk(b"strh", strh) + chunk(b"strf", strf)))
+    movi = lst(b"movi", b"".join(chunk(b"00dc", jpeg_encode(f, quality=90))
+                                 for f in frames))
+    return chunk(b"RIFF", b"AVI " + hdrl + movi)
+
+
+def test_avi_header_probe():
     frames = [np.full((16, 24, 3), i * 40, np.uint8) for i in range(4)]
-    info = probe_media(encode_avi_mjpeg(frames, fps=10))
+    info = probe_media(_avi_mjpeg(frames, fps=10))
     assert info["container"] == "avi"
     assert info["frames"] == 4
     assert info["duration_sec"] == pytest.approx(0.4)

@@ -21,7 +21,6 @@ from playwrightcrawler_ray.urlkit import (
     has_repeated_segments,
     is_embedded_url,
     url_id,
-    url_sha256,
 )
 
 # (raw, expected) — mined from the reference's repair tables
@@ -161,9 +160,7 @@ def test_url_ids():
 
     u = "https://example.com/a"
     assert url_id(u) == hashlib.sha1(u.encode()).hexdigest()
-    assert url_sha256(u) == hashlib.sha256(u.encode()).hexdigest()
     assert len(url_id(u)) == 40
-    assert len(url_sha256(u)) == 64
     assert url_id(u) != url_id(u + "b")
 
 

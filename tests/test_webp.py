@@ -18,9 +18,10 @@ from playwrightcrawler_ray.imaging.webp import (
     _write_prefix_code,
     _write_rev,
     vp8l_encode,
-    vp8l_encode_palette,
     webp_decode,
 )
+
+from _webp_writer import vp8l_encode_palette
 
 
 def test_vp8l_roundtrip_random():
