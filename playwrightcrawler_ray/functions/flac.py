@@ -148,8 +148,7 @@ def _best_rice_param(res: np.ndarray, max_p: int = 14) -> int:
     return best_p
 
 
-def _write_residual(w: _BitWriter, res: np.ndarray, order: int,
-                    block: int) -> None:
+def _write_residual(w: _BitWriter, res: np.ndarray) -> None:
     """One Rice partition (partition order 0) — decoder-side handles
     any order."""
     p = _best_rice_param(res)
@@ -198,12 +197,11 @@ def _encode_subframe(w: _BitWriter, x: np.ndarray, bits: int,
         w.write_signed(shift, 5)
         for c in coefs:
             w.write_signed(c, prec)
-        hist = xi[:order].tolist()
         res = []
         for i in range(order, n):
             pred = (coefs[0] * xi[i - 1] + coefs[1] * xi[i - 2]) >> shift
             res.append(int(xi[i] - pred))
-        _write_residual(w, np.asarray(res, np.int64), order, n)
+        _write_residual(w, np.asarray(res, np.int64))
         return
     # best FIXED order 0-3 by absolute residual sum
     best_o, best_sum = 0, None
@@ -219,7 +217,7 @@ def _encode_subframe(w: _BitWriter, x: np.ndarray, bits: int,
     w.write(0, 1)
     for v in xi[:o].tolist():
         w.write_signed(v, bits)
-    _write_residual(w, res if o else xi, o, n)
+    _write_residual(w, res if o else xi)
 
 
 def _utf8_code(n: int) -> bytes:

@@ -12,11 +12,16 @@ through the barriers of ``CrawlEngine.run``, in order:
       waves ahead, so the driver makes one frontier round trip per
       non-empty wave), run the strategy on them, push back what it left
     → _run_chunks: fetch → parse(+offer links) → imgfetch →
-      decode(+dedup claims), one parquet file per chunk under ``wave=K``
+      decode(+dedup claims) → write, one parquet file per chunk under
+      ``wave=K``; a chunk task awaits its link offers after its write
+    → _send_ahead (waits for nothing): the frontier snapshot when the
+      wave checkpoints, then the next wave's ``step_ahead``, so both
+      overlap the commit
     → _commit: the dedup shards commit the wave's claims; conflict
       losers are tombstoned
     → _log_order: the wave's URLs to an immutable order log
-    → _checkpoint: frontier + dedup shards
+    → _checkpoint: the dedup snapshot; both fleets' blobs are written
+      out in the background
 
 Within a wave the chunk tasks run in parallel, at most ``4 × cluster
 CPUs`` in flight; each runs the fused chain of pyarrow batch functions
@@ -83,6 +88,7 @@ from ..stages.ray_stages import (
     make_fetch_fn,
     make_imgfetch_fn,
     make_parse_fn,
+    offers_settled,
     route,
     stage_chain,
 )
@@ -105,12 +111,16 @@ def _wave_chunk_task(fns_box: list, tbl: pa.Table, path: str) -> int:
     instead of resolving and unpickling it for every task, and the
     worker process takes the closures from its own cache. A retry
     rewrites the same file, and dedup re-claims are keyed, so the task
-    is idempotent."""
+    is idempotent. Parse's frontier offers are awaited once, after the
+    write (``offers_settled``), so they overlap imgfetch, decode and the
+    write. A failed offer fails the task, so the task returns only once
+    every link row is durable and offered."""
     import pyarrow.parquet as pq
 
     fetch_fn, parse_fn, imgfetch_fn, decode_fn = stage_chain(fns_box[0])
-    out = decode_fn(imgfetch_fn(parse_fn(fetch_fn(tbl))))
-    pq.write_table(out, path)
+    with offers_settled():
+        out = decode_fn(imgfetch_fn(parse_fn(fetch_fn(tbl))))
+        pq.write_table(out, path)
     return out.num_rows
 
 
@@ -145,8 +155,9 @@ class CrawlResult:
 class _RunState:
     """What the wave loop carries from wave to wave. ``_init_run_state``
     builds it at the start of a run and after actor-loss recovery, so
-    the frontier answers buffered for coming waves and the pending
-    rollbacks start empty with every fresh fleet."""
+    the frontier answers buffered for coming waves, the pending
+    rollbacks and the RPCs sent ahead start empty with every fresh
+    fleet."""
 
     start_wave: int = 0
     wave: int = 0
@@ -158,6 +169,10 @@ class _RunState:
     # wave -> merged (candidates, queued) the frontier already answered
     ahead: dict[int, tuple[list, int | None]] = field(default_factory=dict)
     rollbacks: list = field(default_factory=list)  # refs not yet awaited
+    # sent ahead of the wave's dedup commit (``_send_ahead``): the next
+    # wave's step_ahead refs and the frontier's checkpoint refs
+    stepping: list = field(default_factory=list)
+    frontier_blobs: list = field(default_factory=list)
 
     def add_wave(self, order_file: str, record: dict) -> None:
         self.wave_log.append(record)
@@ -176,6 +191,10 @@ class _RunState:
         empty: no further than ``limit`` and the empty-streak stop."""
         return min(self.limit - self.wave,
                    MAX_EMPTY_STREAK + 1 - self.empty_streak)
+
+    def next_window(self) -> int:
+        """``window`` as it reads once a selected wave advances."""
+        return min(self.limit - self.wave - 1, MAX_EMPTY_STREAK + 1)
 
 
 class CrawlEngine:
@@ -297,19 +316,17 @@ class CrawlEngine:
         the answers the last ``step_ahead`` round trip buffered. When the
         buffer has none for ``wave``: one ``step_ahead`` RPC per shard,
         each stepping waves ``wave`` on (at most ``st.window()``) until
-        its first wave with selectable rows. The fleet has then answered
-        every wave up to ``w*``, the earliest wave at which a shard
-        stopped, as one ``step`` RPC per shard per wave would have.
-        Shards that ran past ``w*`` roll those waves back before their
-        next message (same-caller actor order); the rollbacks are
-        awaited with the next reply."""
-        st, cfg = self._st, self.cfg
+        its first wave with selectable rows — sent here, or already
+        during the previous wave's commit (``_send_ahead``). The fleet
+        has then answered every wave up to ``w*``, the earliest wave at
+        which a shard stopped, as one ``step`` RPC per shard per wave
+        would have. Shards that ran past ``w*`` roll those waves back
+        before their next message (same-caller actor order); the
+        rollbacks are awaited with the next reply."""
+        st = self._st
         if wave not in st.ahead:
-            refs = [s.step_ahead.remote(
-                        wave, cfg.per_host_per_wave, st.window(), cfg.seed,
-                        cfg.method_weights, cfg.wave_size,
-                        cfg.reproduce_reference_bugs)
-                    for s in self.shards]
+            refs = st.stepping or self._step_ahead(wave, st.window())
+            st.stepping = []
             replies = ray.get(st.rollbacks + refs)[len(st.rollbacks):]
             self.frontier_round_trips += 1
             n = min(len(r) for r in replies)  # waves wave..w*
@@ -323,24 +340,36 @@ class CrawlEngine:
                     else sum(p[2] for p in parts))
         return st.ahead.pop(wave)
 
+    def _step_ahead(self, wave: int, window: int) -> list:
+        """Send every shard ``step_ahead`` from ``wave``, at most
+        ``window`` waves; returns the reply refs."""
+        cfg = self.cfg
+        return [s.step_ahead.remote(
+                    wave, cfg.per_host_per_wave, window, cfg.seed,
+                    cfg.method_weights, cfg.wave_size,
+                    cfg.reproduce_reference_bugs)
+                for s in self.shards]
+
     def _push_back(self, leftover: list[tuple[int, str, str]]) -> None:
         route(self.shards, "push_back", leftover, 2, ray.get)
 
     # --- checkpointing (per-partition: one blob per shard per wave) ---
 
     def _checkpoint(self, wave: int, wave_log: list[dict]) -> None:
-        """Per-wave checkpoint. The actor-state snapshot RPCs are issued
-        HERE, at the barrier — each shard serializes its state before it
-        processes the driver's next ``step`` (same-caller actor message
-        order), and wave K+1's worker-side offers can only start after
-        every step returns, so the snapshot is exactly the wave-K
-        barrier state regardless of publication timing. Only the blob
-        await + file writes move to a background thread (at most one in
-        flight; joined before the next checkpoint and at run end),
-        keeping seconds of serialized file IO off the wave critical path
-        — the barrier cost the 4v16 decomposition
+        """Per-wave checkpoint. The frontier snapshot RPCs were sent
+        after the wave's chunks, before its commit (``_send_ahead``),
+        the dedup ones are sent HERE, after the commit. Each frontier
+        shard serializes its state before it processes the driver's
+        next ``step_ahead`` (same-caller actor message order), and wave
+        K+1's worker-side offers can only start after every step
+        returns, so the snapshot is exactly the wave-K barrier state
+        regardless of publication timing. Only the blob await + file
+        writes move to a background thread (at most one in flight;
+        joined before the next checkpoint and at run end), keeping
+        seconds of serialized file IO off the wave critical path — the
+        barrier cost the 4v16 decomposition
         (BENCH_scaling_r3_4v16_decomp) flagged."""
-        blob_refs = [s.checkpoint.remote() for s in self.shards]
+        blob_refs, self._st.frontier_blobs = self._st.frontier_blobs, []
         dblob_refs = [d.checkpoint.remote() for d in self.dedup]
         snapshot = [dict(e) for e in wave_log]
         self._join_checkpoint()
@@ -492,12 +521,14 @@ class CrawlEngine:
                 if selected:
                     wave_dir = self._barrier("chunks", self._run_chunks,
                                              wave, selected)
+                    checkpoint = wave % self.cfg.checkpoint_every == 0
+                    self._send_ahead(wave, checkpoint)
                     conflicts = self._barrier("commit", self._commit, wave_dir)
                     opath = self._barrier("log_order", self._log_order, wave,
                                           [u for _, u, _ in selected])
                     st.add_wave(opath, self._wave_record(
                         wave, strategy, len(selected), conflicts))
-                    if wave % self.cfg.checkpoint_every == 0:
+                    if checkpoint:
                         self._barrier("checkpoint", self._checkpoint,
                                       wave, st.wave_log)
                 if not st.advance(bool(selected)):
@@ -546,10 +577,11 @@ class CrawlEngine:
 
     def _run_chunks(self, wave: int, selected: list[tuple[int, str, str]]) -> str:
         """Run the wave's chunk tasks, at most ``4 × cluster CPUs`` in
-        flight, and return the wave's output dir once all are done. Link
-        offers happen inside the parse stage and dedup claims inside
-        imgfetch and decode (awaited per chunk), so this barrier means:
-        every link row is durable AND offered, every dedup claim staged."""
+        flight, and return the wave's output dir once all are done. The
+        parse stage sends the link offers and each chunk task awaits
+        them after its write; imgfetch and decode await their dedup
+        claims. So this barrier means: every link row is durable AND
+        offered, every dedup claim staged."""
         _, urls, hosts = zip(*selected)
         tbl = pa.table({
             "url": pa.array(urls, pa.string()),
@@ -576,6 +608,21 @@ class CrawlEngine:
         ray.get(self._inflight)
         self._inflight = []
         return wave_dir
+
+    def _send_ahead(self, wave: int, checkpoint: bool) -> None:
+        """Send the frontier RPCs that need the wave's offers but not its
+        dedup commit, so they overlap the commit: the frontier snapshot
+        when the wave ``checkpoint``s, then the next wave's
+        ``step_ahead`` unless the buffer already answers it, with the
+        window the next wave will have. Same-caller actor order keeps
+        the snapshot before the step; ``_checkpoint`` and
+        ``_pop_merged`` await the refs."""
+        st = self._st
+        if checkpoint:
+            st.frontier_blobs = [s.checkpoint.remote() for s in self.shards]
+        window = st.next_window()
+        if window > 0 and wave + 1 not in st.ahead:
+            st.stepping = self._step_ahead(wave + 1, window)
 
     def _cancel_chunks(self) -> None:
         """Cancel + drain the failed wave's chunk tasks, so orphans can't

@@ -22,6 +22,8 @@ reference's hot path is the same shape (SURVEY.md §2.2 M15-M23).
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from typing import NamedTuple
 
@@ -64,9 +66,9 @@ def _wait_holding_cpu(refs, poll_s: float = 0.001):
     A blocking ray.get inside a task yields its CPU to the raylet,
     which responds by starting additional worker processes — at high
     num_cpus this becomes a worker-spawn storm (measured: 128 cold
-    workers each paying module import, 2× wall-time regression). The
-    dedup RPC completes in ~1 ms, so holding the slot and polling is
-    strictly cheaper."""
+    workers each paying module import, 2× wall-time regression). An
+    actor RPC from a task completes in ~1 ms, so holding the slot and
+    polling is strictly cheaper."""
     import time as _t
 
     pending = list(refs)
@@ -76,6 +78,35 @@ def _wait_holding_cpu(refs, poll_s: float = 0.001):
             break
         _t.sleep(poll_s)
     return ray.get(refs)
+
+
+# the running chunk task's holder of the frontier offer refs its parse
+# stage sent and has not awaited yet (``offers_settled``)
+_UNSETTLED_OFFERS: ContextVar[list] = ContextVar("unsettled_offers")
+
+
+def _settle_later(refs: list) -> None:
+    # a module function: a pickled stage closure calls it by name, so it
+    # reads this process's context, and parse outside an
+    # ``offers_settled`` block raises LookupError instead of leaving
+    # its offers unawaited
+    _UNSETTLED_OFFERS.get().extend(refs)
+
+
+@contextmanager
+def offers_settled():
+    """Run a chunk's stages in this block: the frontier offers parse
+    sends go to a holder of the block's own and are awaited once, on
+    the way out, so they overlap the stages after parse. A failed offer
+    raises here. The holder is dropped on the way out, also when the
+    block raises."""
+    pending: list = []
+    token = _UNSETTLED_OFFERS.set(pending)
+    try:
+        yield
+        _wait_holding_cpu(pending)
+    finally:
+        _UNSETTLED_OFFERS.reset(token)
 
 
 def stage_chain(ref):
@@ -229,9 +260,10 @@ def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend,
     playwrightcrawler.py:1636-1651). The offer tuples ``process_fetched``
     built for them go to the frontier here, once per URL per batch
     (pages of one host cluster in a batch and rediscover the same URLs
-    heavily), awaited through ``_wait_holding_cpu``: the chunk task runs
-    every stage, so the wave's chunk barrier implies every offer was
-    processed."""
+    heavily). Parse does not wait for them: it leaves the refs to the
+    enclosing ``offers_settled`` block, which the chunk task closes
+    after its parquet write, so the wave's chunk barrier still implies
+    every offer was processed."""
 
     def parse(batch: pa.Table) -> pa.Table:
         ctx = _ctx_for(cfg)
@@ -267,7 +299,7 @@ def make_parse_fn(cfg: CrawlConfig, backend: FetchBackend,
                 link_wave.append(wave)
                 offered.setdefault(url, o)
         route(frontier_handles, "offer", offered.values(), 2,
-              _wait_holding_cpu)
+              _settle_later)
         main = pa.Table.from_pylist(rows_out, schema=TRANSIT_SCHEMA)
         if not link_url:
             return main
@@ -338,44 +370,43 @@ def make_imgfetch_fn(backend: FetchBackend, dedup_handles: list):
     from ..urlkit.ids import url_id_64
 
     def imgfetch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
+        if batch.num_rows == 0:  # indices_nonzero segfaults on 0 chunks
             return batch
-        kinds = batch.column("kind").to_pylist()
-        urls = batch.column("url").to_pylist()
-        bodies = batch.column("body").to_pylist()
-        need = [i for i, (k, b) in enumerate(zip(kinds, bodies))
-                if k == "imgref" and b is None]
-        if need:
-            ords = batch.column("ord").to_pylist()
-            first: dict[str, int] = {}
-            for i in need:
-                first.setdefault(urls[i], i)
-            claimants = list(first.values())
-            new = _claim_new(
-                dedup_handles,
-                [(url_id_64("imgvisit:" + urls[i]), int(ords[i]))
-                 for i in claimants], 0)
-            keep = {i for i, is_new in zip(claimants, new) if is_new}
-            drop = [i for i in need if i not in keep]
-            if drop:
-                import numpy as np
+        need = pc.indices_nonzero(pc.fill_null(pc.and_(
+            pc.equal(batch.column("kind"), "imgref"),
+            pc.is_null(batch.column("body"))), False))
+        if len(need) == 0:
+            return batch
+        # Python only for the rows that need a fetch
+        urls = batch.column("url").take(need).to_pylist()
+        ords = batch.column("ord").take(need).to_pylist()
+        first: dict[str, int] = {}
+        for j, u in enumerate(urls):
+            first.setdefault(u, j)
+        claimants = list(first.values())
+        new = _claim_new(
+            dedup_handles,
+            [(url_id_64("imgvisit:" + urls[j]), int(ords[j]))
+             for j in claimants], 0)
+        keep = [j for j, is_new in zip(claimants, new) if is_new]
+        import numpy as np
 
-                sel = np.ones(batch.num_rows, dtype=bool)
-                sel[drop] = False
-                batch = batch.filter(pa.array(sel))
-                kinds = batch.column("kind").to_pylist()
-                urls = batch.column("url").to_pylist()
-                bodies = batch.column("body").to_pylist()
-                need = [i for i, (k, b) in enumerate(zip(kinds, bodies))
-                        if k == "imgref" and b is None]
-        if not need:
-            return batch
-        _, _, fetched, _ = fetch_client(backend).lookup(
-            [urls[i] for i in need])
-        for i, b in zip(need, fetched):
-            bodies[i] = b
-        idx = batch.schema.get_field_index("body")
-        return batch.set_column(idx, "body", pa.array(bodies, pa.binary()))
+        rows = need.to_numpy()
+        fetch = np.zeros(batch.num_rows, dtype=bool)
+        fetch[rows[keep]] = True
+        if keep:
+            _, _, fetched, _ = fetch_client(backend).lookup(
+                [urls[j] for j in keep])
+            idx = batch.schema.get_field_index("body")
+            batch = batch.set_column(idx, "body", pc.replace_with_mask(
+                batch.column("body").combine_chunks(), pa.array(fetch),
+                pa.array(fetched, pa.binary())))
+        if len(keep) < len(rows):
+            # drop repeat claims and subresources fetched in a prior wave
+            sel = np.ones(batch.num_rows, dtype=bool)
+            sel[rows] = False
+            batch = batch.filter(pa.array(sel | fetch))
+        return batch
 
     return imgfetch
 
@@ -387,7 +418,7 @@ def make_decode_fn(cfg: CrawlConfig, dedup_handles: list):
     (transit body dropped). In-wave pixel-hash duplicates are all kept
     (``stage_many_keyed``) and resolved deterministically by ``ord`` at the
     wave barrier — see DedupShard's two-phase protocol. Link rows pass
-    through like page rows; parse already offered them."""
+    through like page rows; parse already sent their offers."""
 
     def _stamp_yyyymm(t: pa.Table) -> pa.Table:
         # monthly time-partition key on every persisted row (decode is

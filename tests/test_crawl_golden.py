@@ -212,6 +212,129 @@ def test_actor_death_while_a_rollback_is_pending_recovers(ray_session,
     assert res.seen_ids() == oracle.seen_ids
 
 
+def test_actor_death_while_the_next_step_is_in_flight_recovers(
+        ray_session, corpus, oracle):
+    """Kill the one frontier shard inside the commit barrier, after the
+    driver sent the next wave's ``step_ahead`` ahead of the commit and
+    before it awaits it. The next pop finds the dead shard, and the
+    rewind to the last checkpoint drops the refs sent ahead."""
+    import ray as _ray
+
+    from playwrightcrawler_ray.pipelines.crawl import CrawlEngine, load_images
+
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_sentahead",
+                      max_waves=100, num_frontier_shards=1)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    engine = CrawlEngine(corpus, cfg)
+    orig = engine._commit
+    killed = []
+
+    def commit(wave_dir):
+        st = engine._st
+        if not killed and st.wave >= 5 and st.stepping:
+            killed.append(st.wave)
+            _ray.kill(engine.shards[0], no_restart=True)
+        return orig(wave_dir)
+
+    engine._commit = commit
+    res = engine.run(collect_seen_ids=True)
+    assert killed and engine.actor_recoveries >= 1
+    assert res.order == oracle.order
+    assert res.seen_ids() == oracle.seen_ids
+    imgs = load_images(cfg.output_dir).to_pandas()
+    assert _image_keys(imgs) == _oracle_image_keys(oracle)
+    assert len(imgs) == len(oracle.images)
+
+
+def test_actor_death_between_parse_and_offer_wait_recovers(
+        ray_session, corpus, oracle, monkeypatch, tmp_path):
+    """Parse sends its link offers without waiting; the chunk task
+    awaits them after its write. Kill the one frontier shard from the
+    worker, right after one parse stage returns (once, across worker
+    processes), so the chunk's own offer wait finds the shard dead.
+    Recovery must reproduce the oracle."""
+    import os
+
+    from playwrightcrawler_ray.pipelines import crawl as crawl_mod
+
+    marker = str(tmp_path / "killed")
+    make = crawl_mod.make_parse_fn
+
+    def make_killing_parse(cfg, backend, handles):
+        parse = make(cfg, backend, handles)
+
+        def parse_then_kill(batch):
+            import os
+
+            import ray
+
+            out = parse(batch)
+            if batch.column("wave")[0].as_py() >= 5:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return out
+                ray.kill(handles[0], no_restart=True)
+            return out
+
+        return parse_then_kill
+
+    monkeypatch.setattr(crawl_mod, "make_parse_fn", make_killing_parse)
+    cfg = CrawlConfig(output_dir="/tmp/pwc_golden_offerwait",
+                      max_waves=100, num_frontier_shards=1)
+    shutil.rmtree(cfg.output_dir, ignore_errors=True)
+    engine = crawl_mod.CrawlEngine(corpus, cfg)
+    res = engine.run(collect_seen_ids=True)
+    assert os.path.exists(marker) and engine.actor_recoveries >= 1
+    assert res.order == oracle.order
+    assert res.seen_ids() == oracle.seen_ids
+    imgs = crawl_mod.load_images(cfg.output_dir).to_pandas()
+    assert _image_keys(imgs) == _oracle_image_keys(oracle)
+    assert len(imgs) == len(oracle.images)
+
+
+def test_chunk_task_fails_when_an_offer_fails(ray_session, corpus,
+                                              tmp_path):
+    """A chunk task returns its row count only once its parse stage's
+    offers were processed: the same chunk that succeeds against a live
+    frontier shard raises once that shard is dead, although every
+    stage's output and the parquet write do not need it."""
+    import pyarrow as pa
+    import ray as _ray
+
+    from playwrightcrawler_ray.corpus.store import put_corpus_index
+    from playwrightcrawler_ray.pipelines.crawl import _wave_chunk_task
+    from playwrightcrawler_ray.stages import ray_stages as rs
+    from playwrightcrawler_ray.stages.process import ProcessContext, offers_for
+    from playwrightcrawler_ray.state.dedup import DedupShard
+    from playwrightcrawler_ray.state.frontier import FrontierShard
+    from playwrightcrawler_ray.urlkit.canonicalize import canonicalize_url
+
+    cfg = CrawlConfig(output_dir=str(tmp_path))
+    frontier = _ray.remote(num_cpus=0)(FrontierShard).remote()
+    dedup = _ray.remote(num_cpus=0)(DedupShard).remote()
+    backend = rs.FetchBackend(put_corpus_index(corpus), cfg.fetch_retries,
+                              cfg.fetch_backoff_base_s, cfg.range_resume)
+    fns_ref = _ray.put((rs.make_fetch_fn(backend),
+                        rs.make_parse_fn(cfg, backend, [frontier]),
+                        rs.make_imgfetch_fn(backend, [dedup]),
+                        rs.make_decode_fn(cfg, [dedup])))
+    url, _id, host, *_ = offers_for(ProcessContext(cfg),
+                                    canonicalize_url(corpus.seeds[0]),
+                                    False)[0]
+    tbl = pa.table({"url": pa.array([url], pa.string()),
+                    "host": pa.array([host], pa.string()),
+                    "wave": pa.array([0], pa.int32()),
+                    "ord": pa.array([0], pa.int64())})
+    path = str(tmp_path / "part-00000.parquet")
+    assert _ray.get(_wave_chunk_task.remote([fns_ref], tbl, path)) > 0
+    assert _ray.get(frontier.stats.remote())["offered"] > 0
+    _ray.kill(frontier, no_restart=True)
+    with pytest.raises(_ray.exceptions.RayActorError):
+        _ray.get(_wave_chunk_task.remote([fns_ref], tbl, path))
+    _ray.kill(dedup, no_restart=True)
+
+
 def test_one_frontier_round_trip_per_non_empty_wave(ray_session, corpus):
     """Empty waves cost a one-shard frontier no round trip: each
     ``step_ahead`` window ends at its first non-empty wave, and only a
